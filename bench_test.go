@@ -101,9 +101,9 @@ func benchTable2(b *testing.B, opts *milp.Options) {
 
 // --- Speculative-parallel sweep (DESIGN.md §10) ---
 
-// BenchmarkTable2SweepSerial is the sequential baseline of the
-// speculative-parallel comparison: the Table II MILP sweep (StartCap 14,
-// tuned search) solved one chain point at a time.
+// BenchmarkTable2SweepSerial is the one-worker baseline of the
+// speculative comparison: the Table II MILP sweep (StartCap 14, tuned
+// search) solved one chain point at a time.
 func BenchmarkTable2SweepSerial(b *testing.B) { benchSweepWorkers(b, 1) }
 
 // BenchmarkTable2SweepParallel is the same sweep with four speculative
@@ -130,8 +130,8 @@ func benchSweepWorkers(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkSweepModelReuse measures the incremental model path the
-// parallel sweep uses: one template Build, then a SetCostCap clone and a
+// BenchmarkSweepModelReuse measures the incremental model path every
+// MILP sweep uses: one template Build, then a SetCostCap clone and a
 // root-LP solve per Table II cap.
 func BenchmarkSweepModelReuse(b *testing.B) {
 	g, lib := expts.Example1()

@@ -82,8 +82,8 @@ func TestBenchSweepWorkers(t *testing.T) {
 }
 
 // TestBenchPerfSweep smokes the -perf-sweep report: it must measure
-// workers 1/2/4, find the full 5-point frontier at each, and write a
-// parseable BENCH_sweep.json.
+// workers 1/2/4, find the full 5-point frontier at each, build exactly
+// the two templates per sweep, and write a parseable BENCH_sweep.json.
 func TestBenchPerfSweep(t *testing.T) {
 	bin := buildBench(t)
 	dir := t.TempDir()
@@ -109,6 +109,10 @@ func TestBenchPerfSweep(t *testing.T) {
 		if r.Workers != workers || r.Points != 5 || r.NsPerOp <= 0 {
 			t.Errorf("result %d: workers=%d points=%d ns/op=%d, want workers=%d points=5 ns/op>0",
 				i, r.Workers, r.Points, r.NsPerOp, workers)
+		}
+		if r.ModelBuilds != sweepTemplateBuilds || r.Sweeps < r.Iterations {
+			t.Errorf("result %d: %g builds per sweep over %d sweeps (%d iterations), want %d per sweep",
+				i, r.ModelBuilds, r.Sweeps, r.Iterations, sweepTemplateBuilds)
 		}
 	}
 }

@@ -18,8 +18,9 @@ import (
 )
 
 // sweepScalingResult is one row of BENCH_sweep.json: the Table II MILP
-// sweep measured at a fixed sweep-worker count. Speculation counters and
-// model build/clone counts are totals over all Iterations.
+// sweep measured at a fixed sweep-worker count. Model build/clone counts
+// and speculation counters are per sweep: totals over every sweep the
+// benchmark ran (its calibration rounds included) divided by Sweeps.
 type sweepScalingResult struct {
 	Workers        int     `json:"workers"`
 	NsPerOp        int64   `json:"ns_per_op"`
@@ -27,13 +28,18 @@ type sweepScalingResult struct {
 	AllocsPerOp    int64   `json:"allocs_per_op"`
 	Points         int     `json:"points"`
 	Speedup        float64 `json:"speedup_vs_serial"`
-	ModelBuilds    int64   `json:"model_builds"`
-	ModelClones    int64   `json:"model_clones"`
-	SpecHits       int64   `json:"speculative_hits"`
-	SpecWasted     int64   `json:"speculative_wasted"`
-	SpecRetargeted int64   `json:"speculative_retargeted"`
+	ModelBuilds    float64 `json:"model_builds_per_sweep"`
+	ModelClones    float64 `json:"model_clones_per_sweep"`
+	SpecHits       float64 `json:"speculative_hits_per_sweep"`
+	SpecWasted     float64 `json:"speculative_wasted_per_sweep"`
+	SpecRetargeted float64 `json:"speculative_retargeted_per_sweep"`
 	Iterations     int     `json:"iterations"`
+	Sweeps         int     `json:"sweeps"`
 }
+
+// sweepTemplateBuilds is what every MILP sweep must build: one
+// MinMakespan and one MinCost template, whatever the worker count.
+const sweepTemplateBuilds = 2
 
 // sweepBenchFile is the committed sweep-scaling baseline the
 // -check-baseline gate ratchets against.
@@ -73,11 +79,12 @@ func PerfSweep() error {
 	var benchErr error
 	for _, workers := range []int{1, 2, 4} {
 		tel := telemetry.New(nil)
-		points := 0
+		points, sweeps := 0, 0
 		b0, c0 := model.BuildCount(), model.CloneCount()
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				sweeps++
 				pts, err := pareto.Sweep(context.Background(), g, pool, arch.PointToPoint{}, pareto.Options{
 					Engine:       pareto.EngineMILP,
 					MILP:         &milp.Options{TimeLimit: *budget, Branch: milp.BranchPseudoCost, Order: milp.BestFirst},
@@ -104,18 +111,20 @@ func PerfSweep() error {
 			return benchErr
 		}
 		snap := tel.Counters()
+		perSweep := func(n int64) float64 { return float64(n) / float64(sweeps) }
 		res := sweepScalingResult{
 			Workers:        workers,
 			NsPerOp:        r.NsPerOp(),
 			BytesPerOp:     r.AllocedBytesPerOp(),
 			AllocsPerOp:    r.AllocsPerOp(),
 			Points:         points,
-			ModelBuilds:    model.BuildCount() - b0,
-			ModelClones:    model.CloneCount() - c0,
-			SpecHits:       snap["speculative_hits"],
-			SpecWasted:     snap["speculative_wasted"],
-			SpecRetargeted: snap["speculative_retargeted"],
+			ModelBuilds:    perSweep(model.BuildCount() - b0),
+			ModelClones:    perSweep(model.CloneCount() - c0),
+			SpecHits:       perSweep(snap["speculative_hits"]),
+			SpecWasted:     perSweep(snap["speculative_wasted"]),
+			SpecRetargeted: perSweep(snap["speculative_retargeted"]),
 			Iterations:     r.N,
+			Sweeps:         sweeps,
 		}
 		if len(report.Results) > 0 && res.NsPerOp > 0 {
 			res.Speedup = float64(report.Results[0].NsPerOp) / float64(res.NsPerOp)
@@ -123,9 +132,9 @@ func PerfSweep() error {
 			res.Speedup = 1
 		}
 		report.Results = append(report.Results, res)
-		fmt.Printf("  workers=%d %12d ns/op %10d B/op %8d allocs/op  %d points  %.2fx  spec hit/wasted/retgt %d/%d/%d\n",
+		fmt.Printf("  workers=%d %12d ns/op %10d B/op %8d allocs/op  %d points  %.2fx  builds/clones %.3g/%.3g  spec hit/wasted/retgt %.3g/%.3g/%.3g per sweep\n",
 			workers, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.Points, res.Speedup,
-			res.SpecHits, res.SpecWasted, res.SpecRetargeted)
+			res.ModelBuilds, res.ModelClones, res.SpecHits, res.SpecWasted, res.SpecRetargeted)
 	}
 
 	if *checkBaseline {
@@ -151,7 +160,8 @@ func PerfSweep() error {
 
 // compareSweepBaseline diffs fresh measurements against the committed
 // BENCH_sweep.json and fails when any pinned worker count slowed beyond
-// the tolerance. Speedups and new worker counts pass (the baseline is a
+// the tolerance, or when any fresh sweep built other than its two
+// templates. Speedups and new worker counts pass (the baseline is a
 // ratchet, not a straitjacket).
 func compareSweepBaseline(fresh *sweepScalingReport) error {
 	raw, err := os.ReadFile(sweepBenchFile)
@@ -171,6 +181,10 @@ func compareSweepBaseline(fresh *sweepScalingReport) error {
 	var failed []string
 	for _, r := range fresh.Results {
 		name := fmt.Sprintf("sweep-workers-%d", r.Workers)
+		if r.ModelBuilds != sweepTemplateBuilds {
+			fmt.Printf("  %-30s %.3g model builds per sweep, want %d  REGRESSION\n", name, r.ModelBuilds, sweepTemplateBuilds)
+			failed = append(failed, name+"-builds")
+		}
 		b, ok := baseByWorkers[r.Workers]
 		if !ok || b.NsPerOp <= 0 {
 			fmt.Printf("  %-30s (no baseline; skipped)\n", name)
@@ -185,8 +199,8 @@ func compareSweepBaseline(fresh *sweepScalingReport) error {
 		fmt.Printf("  %-30s %14d -> %14d ns/op (%.2fx) %s\n", name, b.NsPerOp, r.NsPerOp, ratio, verdict)
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("sweep perf gate: %d configuration(s) regressed beyond %.0f%%: %v",
-			len(failed), 100**baselineTol, failed)
+		return fmt.Errorf("sweep perf gate: %d check(s) failed (>%.0f%% slowdown or builds per sweep != %d): %v",
+			len(failed), 100**baselineTol, sweepTemplateBuilds, failed)
 	}
 	fmt.Println()
 	return nil

@@ -132,7 +132,7 @@ func New(opts Options) (*Cache, error) {
 			return nil, fmt.Errorf("cache: persist: %w", err)
 		}
 		c.spill = sp
-		c.loadedN, c.loadSkipped = c.loadSpill(sp)
+		c.loadedN, c.loadSkipped = sp.replay(c.loadLine)
 	}
 	return c, nil
 }

@@ -362,7 +362,48 @@ func TestConcurrentStorm(t *testing.T) {
 	}
 }
 
+// TestPersistTornTail: a crash mid-append leaves a partial last line
+// with no newline. The next load must skip it and cut it off, so a proof
+// appended after that restart survives the restart after it.
+func TestPersistTornTail(t *testing.T) {
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	p2p := arch.PointToPoint{}
+	path := filepath.Join(t.TempDir(), "spill.jsonl")
+
+	c1 := newCache(t, Options{PersistPath: path})
+	p7 := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 7})
+	prove(t, c1, p7)
+	c1.Close()
+	appendRaw(t, path, `{"v":1,"spec":{"graph":`)
+
+	c2 := newCache(t, Options{PersistPath: path})
+	if n, sk := c2.Loaded(); n != 1 || sk != 1 {
+		t.Fatalf("Loaded = (%d, %d), want (1, 1)", n, sk)
+	}
+	p3 := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 3})
+	prove(t, c2, p3)
+	c2.Close()
+
+	c3 := newCache(t, Options{PersistPath: path})
+	if n, sk := c3.Loaded(); n != 2 || sk != 0 {
+		t.Fatalf("Loaded = (%d, %d), want (2, 0)", n, sk)
+	}
+	if hit := c3.Lookup(p3); hit == nil || !hit.Infeasible {
+		t.Fatalf("proof appended after the torn tail was lost: %+v", hit)
+	}
+	if hit := c3.Lookup(p7); hit == nil || hit.Design == nil {
+		t.Fatalf("proof before the torn tail was lost")
+	}
+}
+
 func appendLine(t *testing.T, path, line string) {
+	t.Helper()
+	appendRaw(t, path, line+"\n")
+}
+
+// appendRaw appends raw bytes to a spill file, as a torn write would.
+func appendRaw(t *testing.T, path, raw string) {
 	t.Helper()
 	sp, err := openSpill(path)
 	if err != nil {
@@ -371,7 +412,7 @@ func appendLine(t *testing.T, path, line string) {
 	if _, err := sp.f.Seek(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	sp.w.WriteString(line + "\n")
+	sp.w.WriteString(raw)
 	if err := sp.close(); err != nil {
 		t.Fatal(err)
 	}

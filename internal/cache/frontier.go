@@ -145,7 +145,7 @@ func NewFrontierStore(opts FrontierOptions) (*FrontierStore, error) {
 			return nil, fmt.Errorf("cache: frontier persist: %w", err)
 		}
 		fs.spill = sp
-		fs.loadedN, fs.loadSkipped = fs.loadFrontierSpill(sp)
+		fs.loadedN, fs.loadSkipped = sp.replay(fs.loadFrontierLine)
 	}
 	return fs, nil
 }

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bufio"
 	"encoding/json"
 
 	"sos/internal/arch"
@@ -35,27 +34,16 @@ type frontierSpillPoint struct {
 
 const frontierSpillKind = "frontier"
 
-// appendFrontierSpill persists one stored frontier. Failures are silent
-// by design, mirroring the proof cache: the spill is an optimization and
-// the in-memory entry is already live.
+// appendFrontierSpill persists one stored frontier.
 func (fs *FrontierStore) appendFrontierSpill(e *frontierEntry) {
 	fs.spillMu.Lock()
 	defer fs.spillMu.Unlock()
 	if fs.spill == nil {
 		return
 	}
-	rec, err := frontierRecordOf(e)
-	if err != nil {
-		return
+	if rec, err := frontierRecordOf(e); err == nil {
+		fs.spill.append(rec)
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	if _, err := fs.spill.w.Write(append(line, '\n')); err != nil {
-		return
-	}
-	fs.spill.w.Flush()
 }
 
 func frontierRecordOf(e *frontierEntry) (*frontierSpillRecord, error) {
@@ -100,31 +88,9 @@ func frontierRecordOf(e *frontierEntry) (*frontierSpillRecord, error) {
 	return rec, nil
 }
 
-// loadFrontierSpill replays the frontier spill into memory. Corrupt or
-// stale lines are skipped — the spill is advisory, and every restored
-// chain is re-keyed from its own decoded problem, so a spill written by
-// an older canonicalizer can only miss, never mislead.
-func (fs *FrontierStore) loadFrontierSpill(sp *spill) (restored, skipped int) {
-	if _, err := sp.f.Seek(0, 0); err != nil {
-		return 0, 0
-	}
-	sc := bufio.NewScanner(sp.f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if fs.loadFrontierLine(line) {
-			restored++
-		} else {
-			skipped++
-		}
-	}
-	sp.f.Seek(0, 2)
-	return restored, skipped
-}
-
+// loadFrontierLine restores one spilled chain. Every restored chain is
+// re-keyed from its own decoded problem, so a spill written by an older
+// canonicalizer can only miss, never mislead.
 func (fs *FrontierStore) loadFrontierLine(line []byte) bool {
 	var rec frontierSpillRecord
 	if err := json.Unmarshal(line, &rec); err != nil ||

@@ -214,6 +214,41 @@ func TestFrontierPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrontierPersistTornTail: a crash mid-append leaves a partial last
+// line with no newline. The next load must skip it and cut it off, so a
+// frontier stored after that restart survives the restart after it.
+func TestFrontierPersistTornTail(t *testing.T) {
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	p2p, bus := arch.PointToPoint{}, arch.Bus{}
+	path := filepath.Join(t.TempDir(), "frontiers.jsonl")
+
+	fs1 := newFrontierStore(t, FrontierOptions{PersistPath: path})
+	pp := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p})
+	sweepThrough(t, g, pool, p2p, fs1.View(pp, 1, 0), nil, 0)
+	fs1.Close()
+	appendRaw(t, path, `{"v":1,"kind":"frontier","spec":`)
+
+	fs2 := newFrontierStore(t, FrontierOptions{PersistPath: path})
+	if restored, skipped := fs2.Loaded(); restored != 1 || skipped != 1 {
+		t.Fatalf("Loaded = (%d, %d), want (1, 1)", restored, skipped)
+	}
+	pb := mustProbe(t, Request{Graph: g, Pool: pool, Topo: bus})
+	cold := sweepThrough(t, g, pool, bus, fs2.View(pb, 1, 0), nil, 0)
+	fs2.Close()
+
+	tel := telemetry.New(nil)
+	fs3 := newFrontierStore(t, FrontierOptions{PersistPath: path, Telemetry: tel})
+	if restored, skipped := fs3.Loaded(); restored != 2 || skipped != 0 {
+		t.Fatalf("Loaded = (%d, %d), want (2, 0)", restored, skipped)
+	}
+	warm := sweepThrough(t, g, pool, bus, fs3.View(pb, 1, 0), tel, 0)
+	samePoints(t, cold, warm)
+	if w := solverWork(tel); w != 0 {
+		t.Fatalf("frontier stored after the torn tail was lost (%d solver nodes)", w)
+	}
+}
+
 // TestFrontierTerminalProof: a sweep whose start cap is below the
 // cheapest feasible design stores a pure terminal proof (no points); a
 // repeat sweep is answered "empty, done" without a solver, and the proof

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -88,6 +90,8 @@ func (f *spillFloat) UnmarshalJSON(b []byte) error {
 
 const spillVersion = 1
 
+// spill is one JSONL persistence file, shared by the proof cache and the
+// frontier store: replayed once when the store opens, then appended to.
 type spill struct {
 	f *os.File
 	w *bufio.Writer
@@ -109,26 +113,68 @@ func (s *spill) close() error {
 	return err
 }
 
-// appendSpill persists one stored proof. Failures are silent by design:
-// the spill is an optimization, and the in-memory entry is already live.
+// replay feeds every complete line of the file to load and counts the
+// lines it restored and skipped. Corrupt, stale, or otherwise unusable
+// lines are skipped — the spill is advisory. A torn tail (bytes after the
+// last newline, left by a crash mid-append) is counted as skipped and cut
+// off, so the next append starts a line of its own instead of gluing onto
+// the partial one and being lost with it on the following load. The file
+// is left positioned at its end for appends.
+func (s *spill) replay(load func(line []byte) bool) (restored, skipped int) {
+	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		return 0, 0
+	}
+	r := bufio.NewReader(s.f)
+	var whole int64 // bytes through the last newline
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF && len(line) > 0 {
+			skipped++
+			// A failed cut costs only the next appended record; the
+			// spill is advisory.
+			_ = s.f.Truncate(whole)
+		}
+		if err != nil {
+			break
+		}
+		whole += int64(len(line))
+		line = bytes.TrimRight(line, "\r\n")
+		if len(line) == 0 {
+			continue
+		}
+		if load(line) {
+			restored++
+		} else {
+			skipped++
+		}
+	}
+	s.f.Seek(0, io.SeekEnd)
+	return restored, skipped
+}
+
+// append writes v as one JSONL line. Failures are silent by design: the
+// spill is an optimization, and the in-memory entry is already live.
+func (s *spill) append(v any) {
+	line, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	if _, err := s.w.Write(append(line, '\n')); err != nil {
+		return
+	}
+	s.w.Flush()
+}
+
+// appendSpill persists one stored proof.
 func (c *Cache) appendSpill(e *entry) {
 	c.spillMu.Lock()
 	defer c.spillMu.Unlock()
 	if c.spill == nil {
 		return
 	}
-	rec, err := recordOf(e)
-	if err != nil {
-		return
+	if rec, err := recordOf(e); err == nil {
+		c.spill.append(rec)
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	if _, err := c.spill.w.Write(append(line, '\n')); err != nil {
-		return
-	}
-	c.spill.w.Flush()
 }
 
 func recordOf(e *entry) (*spillRecord, error) {
@@ -178,32 +224,9 @@ func recordOf(e *entry) (*spillRecord, error) {
 	return rec, nil
 }
 
-// loadSpill replays the spill file into the in-memory cache. Corrupt,
-// stale, or otherwise unusable lines are skipped — the spill is advisory.
-// Every restored proof is re-keyed from its own decoded problem, so a
-// spill written by an older canonicalizer can only miss, never mislead.
-func (c *Cache) loadSpill(sp *spill) (restored, skipped int) {
-	if _, err := sp.f.Seek(0, 0); err != nil {
-		return 0, 0
-	}
-	sc := bufio.NewScanner(sp.f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if c.loadLine(line) {
-			restored++
-		} else {
-			skipped++
-		}
-	}
-	// Position at end for appends regardless of scan outcome.
-	sp.f.Seek(0, 2)
-	return restored, skipped
-}
-
+// loadLine restores one spilled proof. Every restored proof is re-keyed
+// from its own decoded problem, so a spill written by an older
+// canonicalizer can only miss, never mislead.
 func (c *Cache) loadLine(line []byte) bool {
 	var rec spillRecord
 	if err := json.Unmarshal(line, &rec); err != nil || rec.V != spillVersion {

@@ -571,7 +571,11 @@ func (w *bbWorker) expand(nd *node) {
 	isRoot := !st.rootDone
 	switch sol.Status {
 	case lp.Infeasible:
-		st.rootDone = st.rootDone || isRoot
+		// Written only by the root expansion: parallel workers run after
+		// it and must not store to the root facts (a data race).
+		if isRoot {
+			st.rootDone = true
+		}
 		return
 	case lp.Unbounded:
 		if isRoot {

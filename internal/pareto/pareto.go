@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"sos/internal/arch"
@@ -160,14 +159,15 @@ type Options struct {
 	// with the source's adjacent designs as untrusted warm incumbents.
 	Source FrontierSource
 
-	// SweepWorkers, when > 1, solves frontier points speculatively in
-	// parallel: a grid of candidate cost caps (derived from the pool's
-	// achievable cost levels) is solved by a worker pool while the true
-	// ε-constraint chain is reconciled against completed results, and
-	// speculative caps a landed point proves redundant are canceled. The
-	// frontier returned is identical to the sequential sweep's; 0 or 1
-	// preserves the sequential path (and its telemetry) exactly. See
-	// DESIGN.md §10 for the speculation and reuse rules.
+	// SweepWorkers, when > 1 (clamped to GOMAXPROCS), solves frontier
+	// points speculatively in parallel: a grid of candidate cost caps
+	// (derived from the pool's achievable cost levels) is solved by a
+	// worker pool while the true ε-constraint chain is reconciled against
+	// completed results, and speculative caps a landed point proves
+	// redundant are canceled. At 0 or 1 the same sweep loop solves every chain
+	// cap inline, with no workers and no speculative grid. The frontier is
+	// identical at every width. See DESIGN.md §10 for the speculation and
+	// reuse rules.
 	SweepWorkers int
 
 	// Governor, when non-nil, apportions one wall-clock budget across the
@@ -205,9 +205,9 @@ type Options struct {
 	Telemetry *telemetry.Collector
 
 	// shared carries the per-sweep templates and cross-point incumbent
-	// pool of a parallel sweep. It is a pointer so the value copies the
-	// ladder walk makes all see one sweep-wide state; nil on the
-	// sequential path.
+	// pool. It is a pointer so the value copies the ladder walk and the
+	// workers make all see one sweep-wide state; set by Sweep and
+	// SweepByDeadline.
 	shared *sweepShared
 
 	// raceBus/raceRung are set on the per-entrant Options copy during a
@@ -223,133 +223,6 @@ func (o *Options) costStep() float64 {
 		return o.CostStep
 	}
 	return 1
-}
-
-// Sweep traces the non-inferior set from best performance to lowest cost.
-// The returned points are ordered by decreasing cost and strictly
-// increasing makespan; every point is validated before being returned.
-//
-// Anytime contract: a point whose solve exhausts its budget but still holds
-// an incumbent is appended with a StatusFeasible annotation. Without a
-// degradation Ladder the sweep then stops and reports a typed
-// budget.ErrExhausted error (wrapping ctx.Err() on cancellation); with a
-// Ladder it keeps sweeping on cheaper rungs. A point that yields nothing
-// within budget always stops the sweep with the typed error, returning the
-// partial frontier.
-func Sweep(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options) ([]Point, error) {
-	if opts.MILP == nil {
-		opts.MILP = &milp.Options{}
-	}
-	if opts.SweepWorkers > 1 {
-		// Speculative workers beyond the machine's available parallelism
-		// only add scheduling contention and wasted speculative solves, so
-		// clamp; when nothing would actually run concurrently, the exact
-		// sequential path (no speculation) is strictly better.
-		if p := runtime.GOMAXPROCS(0); opts.SweepWorkers > p {
-			opts.SweepWorkers = p
-		}
-		if opts.SweepWorkers > 1 {
-			return sweepParallel(ctx, g, pool, topo, opts)
-		}
-	}
-	var points []Point
-	costCap := opts.StartCap
-	for {
-		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
-			return points, nil
-		}
-		// Drain the frontier store first: served points cost nothing, so
-		// they land before (and independent of) the governor's budget.
-		var fdone bool
-		points, costCap, fdone = drainSource(&opts, points, costCap)
-		if fdone {
-			return points, nil
-		}
-		if opts.Ladder == nil && opts.Governor.Exhausted() {
-			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before cap %g", costCap)
-		}
-		tel := opts.Telemetry
-		slice := opts.Governor.Slice()
-		start := time.Now()
-		pt, infeasible, err := solvePointAny(ctx, g, pool, topo, opts, costCap)
-		spend := time.Since(start)
-		if err != nil {
-			return points, err
-		}
-		tel.Emit(telemetry.EvPoint, 0, spend.Seconds(), pt.Status.String())
-		if slice > 0 && spend < slice {
-			// Unused slice time rolls over to every later point (the
-			// governor recomputes remaining budget from the wall clock).
-			tel.Inc(telemetry.CtrRollovers)
-			tel.Emit(telemetry.EvRollover, 0, (slice - spend).Seconds(), "")
-		}
-		if infeasible {
-			return points, nil
-		}
-		if pt.Design == nil {
-			return points, budget.Exhausted(ctx, "pareto: no design within budget at cap %g (%v)", costCap, pt.Status)
-		}
-		// Enforce the documented frontier invariant (decreasing cost,
-		// strictly increasing makespan): a new, cheaper point that is at
-		// least as fast dominates the trailing point(s) — possible only when
-		// an earlier point was a degraded (uncertified) incumbent, since a
-		// certified optimum at a higher cap can never be slower than any
-		// design at a lower cap. Drop the dominated suffix.
-		for len(points) > 0 {
-			last := points[len(points)-1]
-			if pt.Perf() > last.Perf() {
-				break
-			}
-			points = points[:len(points)-1]
-			tel.Inc(telemetry.CtrDominatedDropped)
-			tel.Emit(telemetry.EvDominated, 0, last.Perf(), last.Status.String())
-		}
-		tel.Inc(telemetry.CtrPoints)
-		points = append(points, pt)
-		if pt.Status != budget.StatusOptimal && opts.Ladder == nil {
-			return points, budget.Exhausted(ctx, "pareto: cap %g not proven optimal (%v, gap %.3g)",
-				costCap, pt.Status, pt.Gap)
-		}
-		costCap = pt.Cost() - opts.costStep()
-		if costCap <= 0 {
-			return points, nil
-		}
-	}
-}
-
-// drainSource appends every stored frontier point covering the chain from
-// costCap to points, enforcing the same frontier invariants (MaxPoints,
-// dominated-suffix drop, CtrPoints) the solve path does, and returns the
-// grown frontier, the next uncovered cap, and done=true when the sweep is
-// finished (the store proved the chain complete, the next cap fell ≤ 0, or
-// MaxPoints was reached). Shared by the sequential and parallel sweeps.
-func drainSource(opts *Options, points []Point, costCap float64) ([]Point, float64, bool) {
-	if opts.Source == nil {
-		return points, costCap, false
-	}
-	tel := opts.Telemetry
-	served, done := opts.Source.Serve(costCap)
-	for _, pt := range served {
-		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
-			return points, costCap, true
-		}
-		for len(points) > 0 {
-			last := points[len(points)-1]
-			if pt.Perf() > last.Perf() {
-				break
-			}
-			points = points[:len(points)-1]
-			tel.Inc(telemetry.CtrDominatedDropped)
-			tel.Emit(telemetry.EvDominated, 0, last.Perf(), last.Status.String())
-		}
-		tel.Inc(telemetry.CtrPoints)
-		points = append(points, pt)
-		costCap = pt.Cost() - opts.costStep()
-	}
-	if done || (len(served) > 0 && costCap <= 0) {
-		return points, costCap, true
-	}
-	return points, costCap, false
 }
 
 // solvePointAny solves one frontier point, walking the degradation ladder
@@ -410,19 +283,7 @@ func solvePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, t
 	if opts.Engine == EngineCombinatorial {
 		return solvePointExact(ctx, g, pool, topo, opts, costCap)
 	}
-	var m *model.Model
-	var err error
-	if opts.shared != nil {
-		// Parallel sweep: retarget the shared template's cap row instead
-		// of rebuilding the whole model.
-		m, err = opts.shared.perfAt(costCap)
-	} else {
-		mo := opts.ModelOpts
-		mo.Objective = model.MinMakespan
-		mo.CostCap = costCap
-		mo.Deadline = 0
-		m, err = model.Build(g, pool, topo, mo)
-	}
+	m, err := opts.shared.perfAt(costCap)
 	if err != nil {
 		return Point{}, false, err
 	}
@@ -439,12 +300,10 @@ func solvePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, t
 			}
 		}
 	}
-	if opts.shared != nil {
-		// Cross-point seeding: designs found at other caps are offered as
-		// untrusted candidates; the solver keeps the best one feasible
-		// under this cap.
-		milpOpts.IncumbentPool = opts.shared.candidates()
-	}
+	// Cross-point seeding: designs found at other caps are offered as
+	// untrusted candidates; the solver keeps the best one feasible under
+	// this cap.
+	milpOpts.IncumbentPool = opts.shared.candidates()
 	if opts.Source != nil {
 		// Delta-resolve seeding: stored designs adjacent to this cap join
 		// the untrusted pool; the solver keeps the best one feasible here.
@@ -461,7 +320,7 @@ func solvePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, t
 	if err != nil {
 		return Point{}, false, err
 	}
-	if design != nil && opts.shared != nil {
+	if design != nil {
 		if inc, err2 := m.IncumbentVector(design); err2 == nil {
 			opts.shared.addIncumbent(inc)
 		}
@@ -490,16 +349,7 @@ func solvePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, t
 	}
 
 	// Lexicographic tightening: cheapest system achieving this makespan.
-	var cm *model.Model
-	if opts.shared != nil {
-		cm, err = opts.shared.costAt(design.Makespan)
-	} else {
-		co := opts.ModelOpts
-		co.Objective = model.MinCost
-		co.Deadline = design.Makespan
-		co.CostCap = 0
-		cm, err = model.Build(g, pool, topo, co)
-	}
+	cm, err := opts.shared.costAt(design.Makespan)
 	if err != nil {
 		return Point{}, false, err
 	}
@@ -511,19 +361,15 @@ func solvePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, t
 	if inc, err2 := cm.IncumbentVector(design); err2 == nil {
 		costOpts.Incumbent = inc
 	}
-	if opts.shared != nil {
-		costOpts.IncumbentPool = opts.shared.candidates()
-	}
+	costOpts.IncumbentPool = opts.shared.candidates()
 	cheap, costSol, err := cm.Solve(ctx, &costOpts)
 	if err != nil {
 		return Point{}, false, err
 	}
 	if costSol.Status == milp.Optimal && cheap != nil {
 		design = cheap
-		if opts.shared != nil {
-			if inc, err2 := cm.IncumbentVector(cheap); err2 == nil {
-				opts.shared.addIncumbent(inc)
-			}
+		if inc, err2 := cm.IncumbentVector(cheap); err2 == nil {
+			opts.shared.addIncumbent(inc)
 		}
 	}
 	if err := design.Validate(&schedule.ValidateOptions{NoOverlapIO: opts.ModelOpts.NoOverlapIO}); err != nil {
@@ -688,6 +534,7 @@ func SweepByDeadline(ctx context.Context, g *taskgraph.Graph, pool *arch.Instanc
 	deadline := model.BigM(g, pool, topo)
 	lastPerf := math.Inf(1)
 	var points []Point
+	opts.shared = newSweepShared(g, pool, topo, opts.ModelOpts)
 	for {
 		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
 			return points, nil
@@ -724,21 +571,9 @@ func SweepByDeadline(ctx context.Context, g *taskgraph.Graph, pool *arch.Instanc
 				pt.Perf(), perfStep)
 		}
 		lastPerf = pt.Perf()
-		// Mirror of Sweep's invariant enforcement: this sweep runs from slow
-		// to fast, so a new (faster) point that is no costlier dominates the
-		// trailing point(s) — again only possible when the earlier point was
-		// a degraded incumbent priced above its true optimum.
-		for len(points) > 0 {
-			last := points[len(points)-1]
-			if pt.Cost() > last.Cost() {
-				break
-			}
-			points = points[:len(points)-1]
-			tel.Inc(telemetry.CtrDominatedDropped)
-			tel.Emit(telemetry.EvDominated, 0, last.Cost(), last.Status.String())
-		}
-		tel.Inc(telemetry.CtrPoints)
-		points = append(points, pt)
+		// This sweep runs from slow to fast, so a new (faster) point that is
+		// no costlier dominates the trailing point(s).
+		points = appendPoint(tel, points, pt, Point.Cost)
 		if pt.Status != budget.StatusOptimal && opts.Ladder == nil {
 			return points, budget.Exhausted(ctx, "pareto: deadline %g not proven optimal (%v, gap %.3g)",
 				deadline, pt.Status, pt.Gap)
@@ -851,11 +686,7 @@ func solveDeadlinePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Inst
 		return Point{Design: design, Status: budget.StatusOptimal}, false, nil
 	}
 
-	mo := opts.ModelOpts
-	mo.Objective = model.MinCost
-	mo.Deadline = deadline
-	mo.CostCap = 0
-	m, err := model.Build(g, pool, topo, mo)
+	m, err := opts.shared.costAt(deadline)
 	if err != nil {
 		return Point{}, false, err
 	}
@@ -888,11 +719,7 @@ func solveDeadlinePoint(ctx context.Context, g *taskgraph.Graph, pool *arch.Inst
 	default:
 		return Point{}, false, fmt.Errorf("pareto: deadline %g relaxation unbounded (modeling bug?)", deadline)
 	}
-	po := opts.ModelOpts
-	po.Objective = model.MinMakespan
-	po.CostCap = design.Cost
-	po.Deadline = 0
-	pm, err := model.Build(g, pool, topo, po)
+	pm, err := opts.shared.perfAt(design.Cost)
 	if err != nil {
 		return Point{}, false, err
 	}

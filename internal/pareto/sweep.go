@@ -1,38 +1,40 @@
 package pareto
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"context"
-
 	"sos/internal/arch"
 	"sos/internal/budget"
+	"sos/internal/milp"
 	"sos/internal/model"
 	"sos/internal/taskgraph"
 	"sos/internal/telemetry"
 )
 
-// The speculative-parallel sweep. The ε-constraint chain is inherently
-// sequential — each cap is one cost step below the previous point's cost —
-// but the solution at a cap is a step function of the cap: solving at cap
-// Y returns the frontier point with the largest frontier cost ≤ Y. The
-// frontier costs themselves come from a small, enumerable set (sums of
-// processor and link costs), so the chain's future caps can be guessed and
+// The ε-constraint sweep. The chain is inherently sequential — each
+// cap is one cost step below the previous point's cost — but the solution
+// at a cap is a step function of the cap: solving at cap Y returns the
+// frontier point with the largest frontier cost ≤ Y. The frontier costs
+// themselves come from a small, enumerable set (sums of processor and link
+// costs), so with SweepWorkers > 1 the chain's future caps are guessed and
 // solved concurrently before the chain arrives, and a completed optimal
 // solve at cap Z with tightened cost c settles every chain cap in [c, Z].
 //
-// A reconciler goroutine walks the true chain, serving each cap from a
+// The caller's goroutine walks the true chain, serving each cap from a
 // covering completed job when one exists, waiting on an in-flight job at
 // the exact cap, and otherwise solving inline (so correctness never
 // depends on the speculation grid). Whenever a point lands, jobs whose
 // caps the point proves redundant are canceled and their workers move on.
-// The appended-point logic mirrors the sequential Sweep exactly, so the
-// frontier — points, statuses, order — is identical; the documented
-// divergences are confined to telemetry (no rollover events, governor
-// slices granted concurrently, EvPoint carrying the job's solve duration).
+// At one worker the queue stays empty and every cap is solved inline, so
+// the one loop is also the sequential sweep. Either way the frontier —
+// points, statuses, order — is the same; only telemetry tells the modes
+// apart (a point served by a speculative job carries that job's solve
+// duration and no rollover event).
 
 // maxIncumbentPool bounds the cross-point candidate pool offered to each
 // MILP solve: feasibility-checking a candidate costs one pass over the
@@ -43,51 +45,72 @@ const maxIncumbentPool = 32
 // the chain reaches first) are kept.
 const maxSpeculativeJobs = 64
 
-// sweepShared is the per-sweep state a parallel sweep shares across its
-// points: the two solve templates, built once and retargeted per point
-// with SetCostCap/SetDeadline, and the cross-point incumbent pool.
+// sweepShared is the per-sweep state every point solve shares: the two
+// MILP templates, built once on first use and retargeted per point with
+// SetCostCap/SetDeadline, and the cross-point incumbent pool.
 type sweepShared struct {
-	perfTpl *model.Model // MinMakespan template (placeholder cap row)
-	costTpl *model.Model // MinCost template (placeholder deadline row)
+	g    *taskgraph.Graph
+	pool *arch.Instances
+	topo arch.Topology
+	mo   model.Options
+
+	perfTpl lazyModel // MinMakespan template (placeholder cap row)
+	costTpl lazyModel // MinCost template (placeholder deadline row)
 
 	mu   sync.Mutex
 	incs [][]float64 // incumbent vectors in the templates' column layout
 }
 
-// newSweepShared builds the templates (when some rung uses the MILP
-// engine) with placeholder cap/deadline rows for SetCostCap/SetDeadline to
+// lazyModel is a template built on its first use, so a sweep whose solves
+// never reach the MILP engine builds nothing.
+type lazyModel struct {
+	once sync.Once
+	m    *model.Model
+	err  error
+}
+
+func newSweepShared(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, mo model.Options) *sweepShared {
+	return &sweepShared{g: g, pool: pool, topo: topo, mo: mo}
+}
+
+// template returns the sweep's template for obj, building it on first
+// use with a placeholder cap/deadline row for SetCostCap/SetDeadline to
 // retarget.
-func newSweepShared(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, mo model.Options, withModels bool) (*sweepShared, error) {
-	sh := &sweepShared{}
-	if !withModels {
-		return sh, nil
+func (sh *sweepShared) template(obj model.Objective) (*model.Model, error) {
+	lm := &sh.perfTpl
+	if obj == model.MinCost {
+		lm = &sh.costTpl
 	}
-	pmo := mo
-	pmo.Objective = model.MinMakespan
-	pmo.CostCap = 1 // placeholder: forces the cap row into the template
-	pmo.Deadline = 0
-	perf, err := model.Build(g, pool, topo, pmo)
-	if err != nil {
-		return nil, err
-	}
-	cmo := mo
-	cmo.Objective = model.MinCost
-	cmo.Deadline = 1 // placeholder: retargeted per point
-	cmo.CostCap = 0
-	cost, err := model.Build(g, pool, topo, cmo)
-	if err != nil {
-		return nil, err
-	}
-	sh.perfTpl, sh.costTpl = perf, cost
-	return sh, nil
+	lm.once.Do(func() {
+		mo := sh.mo
+		mo.Objective = obj
+		mo.CostCap, mo.Deadline = 0, 0
+		if obj == model.MinCost {
+			mo.Deadline = 1
+		} else {
+			mo.CostCap = 1
+		}
+		lm.m, lm.err = model.Build(sh.g, sh.pool, sh.topo, mo)
+	})
+	return lm.m, lm.err
 }
 
+// perfAt is the MinMakespan model under costCap (≤ 0 = uncapped).
 func (sh *sweepShared) perfAt(costCap float64) (*model.Model, error) {
-	return sh.perfTpl.SetCostCap(costCap)
+	tpl, err := sh.template(model.MinMakespan)
+	if err != nil {
+		return nil, err
+	}
+	return tpl.SetCostCap(costCap)
 }
 
+// costAt is the MinCost model under deadline.
 func (sh *sweepShared) costAt(deadline float64) (*model.Model, error) {
-	return sh.costTpl.SetDeadline(deadline)
+	tpl, err := sh.template(model.MinCost)
+	if err != nil {
+		return nil, err
+	}
+	return tpl.SetDeadline(deadline)
 }
 
 // addIncumbent shares a solved design's warm-start vector with every later
@@ -111,6 +134,124 @@ func (sh *sweepShared) candidates() [][]float64 {
 		return nil
 	}
 	return append([][]float64(nil), sh.incs...)
+}
+
+// Sweep traces the non-inferior set from best performance to lowest cost.
+// The returned points are ordered by decreasing cost and strictly
+// increasing makespan; every point is validated before being returned.
+//
+// Anytime contract: a point whose solve exhausts its budget but still holds
+// an incumbent is appended with a StatusFeasible annotation. Without a
+// degradation Ladder the sweep then stops and reports a typed
+// budget.ErrExhausted error (wrapping ctx.Err() on cancellation); with a
+// Ladder it keeps sweeping on cheaper rungs. A point that yields nothing
+// within budget always stops the sweep with the typed error, returning the
+// partial frontier.
+func Sweep(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options) ([]Point, error) {
+	if opts.MILP == nil {
+		opts.MILP = &milp.Options{}
+	}
+	// Speculative workers beyond the machine's available parallelism only
+	// add scheduling contention and wasted speculative solves.
+	if p := runtime.GOMAXPROCS(0); opts.SweepWorkers > p {
+		opts.SweepWorkers = p
+	}
+	// Drain the frontier store before spending anything: a fully covered
+	// sweep returns here without a build or a worker, and a covered prefix
+	// shifts the start cap so speculation targets only the uncovered region.
+	points, costCap, done := drainSource(&opts, nil, opts.StartCap)
+	if done {
+		return points, nil
+	}
+	opts.StartCap = costCap
+	opts.shared = newSweepShared(g, pool, topo, opts.ModelOpts)
+	tel := opts.Telemetry
+
+	q := &specQueue{}
+	if opts.SweepWorkers > 1 {
+		// The workers start now; the deferred stop joins them on return.
+		defer q.speculate(ctx, g, pool, topo, opts)()
+	}
+	for {
+		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
+			return points, nil
+		}
+		if opts.Ladder == nil && opts.Governor.Exhausted() {
+			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before cap %g", costCap)
+		}
+		pt, infeasible, err := q.resolve(ctx, g, pool, topo, opts, costCap)
+		if err != nil {
+			return points, err
+		}
+		if infeasible {
+			return points, nil
+		}
+		if pt.Design == nil {
+			return points, budget.Exhausted(ctx, "pareto: no design within budget at cap %g (%v)", costCap, pt.Status)
+		}
+		if pt.Status == budget.StatusOptimal {
+			q.cancelRedundant(pt.Cost(), costCap)
+		}
+		points = appendPoint(tel, points, pt, Point.Perf)
+		if pt.Status != budget.StatusOptimal && opts.Ladder == nil {
+			return points, budget.Exhausted(ctx, "pareto: cap %g not proven optimal (%v, gap %.3g)",
+				costCap, pt.Status, pt.Gap)
+		}
+		costCap = pt.Cost() - opts.costStep()
+		if costCap <= 0 {
+			return points, nil
+		}
+		// Mid-chain holes: a partially covered store may resume coverage
+		// below a delta-resolved region; drain it before solving.
+		if points, costCap, done = drainSource(&opts, points, costCap); done {
+			return points, nil
+		}
+	}
+}
+
+// appendPoint appends pt to a frontier walked along axis (Point.Perf for
+// the cost-cap chain, Point.Cost for the deadline chain), first dropping
+// the trailing points pt dominates. A new point at least as good on the
+// walked axis as its predecessor is only possible when an earlier point
+// was a degraded (uncertified) incumbent — a certified optimum at a looser
+// limit can never lose to any design under a tighter one — so this is
+// what enforces the documented frontier invariant under a ladder.
+func appendPoint(tel *telemetry.Collector, points []Point, pt Point, axis func(Point) float64) []Point {
+	for len(points) > 0 {
+		last := points[len(points)-1]
+		if axis(pt) > axis(last) {
+			break
+		}
+		points = points[:len(points)-1]
+		tel.Inc(telemetry.CtrDominatedDropped)
+		tel.Emit(telemetry.EvDominated, 0, axis(last), last.Status.String())
+	}
+	tel.Inc(telemetry.CtrPoints)
+	return append(points, pt)
+}
+
+// drainSource appends every stored frontier point covering the chain from
+// costCap to points, enforcing the same frontier invariants (MaxPoints,
+// dominated-suffix drop, CtrPoints) the solve path does, and returns the
+// grown frontier, the next uncovered cap, and done=true when the sweep is
+// finished (the store proved the chain complete, the next cap fell ≤ 0, or
+// MaxPoints was reached). A frontier already at MaxPoints is left alone.
+func drainSource(opts *Options, points []Point, costCap float64) ([]Point, float64, bool) {
+	if opts.Source == nil || (opts.MaxPoints > 0 && len(points) >= opts.MaxPoints) {
+		return points, costCap, false
+	}
+	served, done := opts.Source.Serve(costCap)
+	for _, pt := range served {
+		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
+			return points, costCap, true
+		}
+		points = appendPoint(opts.Telemetry, points, pt, Point.Perf)
+		costCap = pt.Cost() - opts.costStep()
+	}
+	if done || (len(served) > 0 && costCap <= 0) {
+		return points, costCap, true
+	}
+	return points, costCap, false
 }
 
 // capKey orders caps with "uncapped" (<= 0) as +Inf, matching the model's
@@ -382,50 +523,11 @@ func speculativeCaps(g *taskgraph.Graph, pool *arch.Instances, topo arch.Topolog
 	return caps
 }
 
-// sweepParallel is Sweep's speculative-parallel path (SweepWorkers > 1).
-func sweepParallel(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options) ([]Point, error) {
-	// Templates are only useful when some rung solves via the MILP engine.
-	// A race resolves its rungs itself (raceLadder), so consult that set.
-	needModels := false
-	switch {
-	case opts.Race:
-		for _, r := range raceLadder(opts) {
-			if r == budget.RungMILP {
-				needModels = true
-			}
-		}
-	case opts.Ladder == nil:
-		needModels = opts.Engine == EngineMILP
-	default:
-		for _, r := range opts.Ladder {
-			if r == budget.RungMILP {
-				needModels = true
-			}
-		}
-	}
-	// Drain the frontier store before spending anything on speculation: a
-	// fully covered sweep returns here without launching a single worker,
-	// and a covered prefix shifts the effective start cap so the grid and
-	// the initial job target only the uncovered region.
-	var points []Point
-	costCap := opts.StartCap
-	if opts.Source != nil {
-		var fdone bool
-		points, costCap, fdone = drainSource(&opts, points, costCap)
-		if fdone {
-			return points, nil
-		}
-		opts.StartCap = costCap
-	}
-
-	sh, err := newSweepShared(g, pool, topo, opts.ModelOpts, needModels)
-	if err != nil {
-		return nil, err
-	}
-	opts.shared = sh
-	tel := opts.Telemetry
-
-	q := &specQueue{}
+// speculate enqueues the chain's first cap and the speculative grid and
+// starts opts.SweepWorkers workers on them. The returned stop cancels
+// every job still live, joins the workers, and classifies each
+// speculative job in telemetry.
+func (q *specQueue) speculate(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options) (stop func()) {
 	addJob := func(c float64, spec bool) {
 		jctx, cancel := context.WithCancel(ctx)
 		q.jobs = append(q.jobs, &specJob{
@@ -458,9 +560,10 @@ func sweepParallel(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances
 			}
 		}()
 	}
-	defer func() {
+	return func() {
 		q.cancelAll()
 		wg.Wait()
+		tel := opts.Telemetry
 		for _, j := range q.jobs {
 			if !j.spec {
 				continue
@@ -477,78 +580,44 @@ func sweepParallel(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances
 				tel.Emit(telemetry.EvSpeculate, 0, j.costCap, "wasted")
 			}
 		}
-	}()
+	}
+}
 
-	// resolve produces the frontier point at chain cap w: covering
-	// completed job, else the in-flight job at exactly w, else inline.
-	resolve := func(w float64) (Point, bool, time.Duration, error) {
-		if j := q.covering(w); j != nil {
-			return j.pt, j.infeasible, j.spend, nil
-		}
-		if j := q.liveAt(w); j != nil {
+// resolve produces the frontier point at chain cap w: a covering
+// completed job, else the live job at exactly w, else an inline solve
+// under the governor's next slice, whose unused time rolls over to every
+// later point (the governor recomputes remaining budget from the wall
+// clock). Each point emits one EvPoint carrying its solve duration.
+func (q *specQueue) resolve(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo arch.Topology, opts Options, w float64) (Point, bool, error) {
+	tel := opts.Telemetry
+	j := q.covering(w)
+	if j == nil {
+		if j = q.liveAt(w); j != nil {
 			<-j.done
 			if j.err == nil && !j.canceled {
 				q.markUsed(j)
-				return j.pt, j.infeasible, j.spend, nil
+			} else {
+				// A failed (or late-canceled) job is retried inline once; a
+				// second failure propagates with the partial frontier.
+				j = nil
 			}
-			// A failed (or late-canceled) job is retried inline once; a
-			// second failure propagates with the partial frontier.
-		}
-		opts.Governor.Slice()
-		start := time.Now()
-		pt, infeasible, serr := solvePointAny(ctx, g, pool, topo, opts, w)
-		return pt, infeasible, time.Since(start), serr
-	}
-
-	// The chain walk below mirrors the sequential Sweep loop statement for
-	// statement (minus rollover accounting, which has no meaning when
-	// slices are granted concurrently).
-	for {
-		if opts.MaxPoints > 0 && len(points) >= opts.MaxPoints {
-			return points, nil
-		}
-		// Mid-chain holes: a partially covered store may resume coverage
-		// below a delta-resolved region; drain it before solving.
-		var fdone bool
-		points, costCap, fdone = drainSource(&opts, points, costCap)
-		if fdone {
-			return points, nil
-		}
-		if opts.Ladder == nil && opts.Governor.Exhausted() {
-			return points, budget.Exhausted(ctx, "pareto: sweep budget exhausted before cap %g", costCap)
-		}
-		pt, infeasible, spend, err := resolve(costCap)
-		if err != nil {
-			return points, err
-		}
-		tel.Emit(telemetry.EvPoint, 0, spend.Seconds(), pt.Status.String())
-		if infeasible {
-			return points, nil
-		}
-		if pt.Design == nil {
-			return points, budget.Exhausted(ctx, "pareto: no design within budget at cap %g (%v)", costCap, pt.Status)
-		}
-		if pt.Status == budget.StatusOptimal {
-			q.cancelRedundant(pt.Cost(), costCap)
-		}
-		for len(points) > 0 {
-			last := points[len(points)-1]
-			if pt.Perf() > last.Perf() {
-				break
-			}
-			points = points[:len(points)-1]
-			tel.Inc(telemetry.CtrDominatedDropped)
-			tel.Emit(telemetry.EvDominated, 0, last.Perf(), last.Status.String())
-		}
-		tel.Inc(telemetry.CtrPoints)
-		points = append(points, pt)
-		if pt.Status != budget.StatusOptimal && opts.Ladder == nil {
-			return points, budget.Exhausted(ctx, "pareto: cap %g not proven optimal (%v, gap %.3g)",
-				costCap, pt.Status, pt.Gap)
-		}
-		costCap = pt.Cost() - opts.costStep()
-		if costCap <= 0 {
-			return points, nil
 		}
 	}
+	if j != nil {
+		tel.Emit(telemetry.EvPoint, 0, j.spend.Seconds(), j.pt.Status.String())
+		return j.pt, j.infeasible, nil
+	}
+	slice := opts.Governor.Slice()
+	start := time.Now()
+	pt, infeasible, err := solvePointAny(ctx, g, pool, topo, opts, w)
+	spend := time.Since(start)
+	if err != nil {
+		return pt, infeasible, err
+	}
+	tel.Emit(telemetry.EvPoint, 0, spend.Seconds(), pt.Status.String())
+	if slice > 0 && spend < slice {
+		tel.Inc(telemetry.CtrRollovers)
+		tel.Emit(telemetry.EvRollover, 0, (slice - spend).Seconds(), "")
+	}
+	return pt, infeasible, nil
 }

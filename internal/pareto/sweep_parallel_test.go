@@ -2,8 +2,10 @@ package pareto
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,14 +17,15 @@ import (
 	"sos/internal/leakcheck"
 	"sos/internal/milp"
 	"sos/internal/model"
+	"sos/internal/schedule"
 	"sos/internal/taskgraph"
 	"sos/internal/telemetry"
 )
 
 // forceParallel raises GOMAXPROCS for the test's duration so the worker
-// clamp (which falls a 1-effective-worker sweep back to the sequential
-// path on single-CPU hosts) keeps the parallel machinery under test
-// regardless of the machine running the suite.
+// clamp (which drops a sweep to one worker, and so to no speculation, on
+// single-CPU hosts) keeps the speculative machinery under test regardless
+// of the machine running the suite.
 func forceParallel(t *testing.T, workers int) {
 	t.Helper()
 	if old := runtime.GOMAXPROCS(0); old < workers {
@@ -50,11 +53,11 @@ func frontiersIdentical(t *testing.T, seq, par []Point) {
 	}
 }
 
-// TestParallelSweepMatchesSequentialMILP is the tentpole's correctness
-// anchor: the speculative-parallel Table II sweep must return the exact
-// frontier of the sequential sweep — same points, same order, same
-// statuses — with the race detector watching the shared templates,
-// incumbent pool, and job queue.
+// TestParallelSweepMatchesSequentialMILP is the sweep's correctness
+// anchor: the speculative Table II sweep must return the exact frontier
+// of the one-worker sweep — same points, same order, same statuses — with
+// the race detector watching the shared templates, incumbent pool, and
+// job queue.
 func TestParallelSweepMatchesSequentialMILP(t *testing.T) {
 	forceParallel(t, 4)
 	leakcheck.Check(t)
@@ -90,8 +93,9 @@ func TestParallelSweepMatchesSequentialMILP(t *testing.T) {
 }
 
 // TestParallelSweepMatchesSequentialCombinatorial runs the cheaper
-// combinatorial engine over all three table workloads, so every topology's
-// parallel path gets -race coverage in every test run (including -short).
+// combinatorial engine over all three table workloads at 1 and 4 workers,
+// so every topology's speculative path gets -race coverage in every test
+// run (including -short).
 func TestParallelSweepMatchesSequentialCombinatorial(t *testing.T) {
 	forceParallel(t, 4)
 	leakcheck.Check(t)
@@ -110,8 +114,9 @@ func TestParallelSweepMatchesSequentialCombinatorial(t *testing.T) {
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
 			base := Options{
-				Engine: EngineCombinatorial,
-				Exact:  &exact.Options{TimeLimit: 2 * time.Minute},
+				Engine:       EngineCombinatorial,
+				Exact:        &exact.Options{TimeLimit: 2 * time.Minute},
+				SweepWorkers: 1,
 			}
 			seq, err := Sweep(context.Background(), w.g, w.pool, w.topo, base)
 			if err != nil {
@@ -129,10 +134,11 @@ func TestParallelSweepMatchesSequentialCombinatorial(t *testing.T) {
 }
 
 // TestParallelSweepBuildAmortization verifies the model-reuse claim with
-// the package counters: a whole parallel MILP sweep performs exactly two
-// full Builds (one MinMakespan template, one MinCost template) however
-// many points and speculative jobs it solves, and at least one clone per
-// lexicographic solve.
+// the package counters at every sweep width: a whole MILP sweep performs
+// exactly two full Builds (one MinMakespan template, one MinCost template)
+// however many points and speculative jobs it solves, and at least one
+// clone per lexicographic solve. The deadline sweep shares the same two
+// templates, and a combinatorial sweep builds none (they are lazy).
 func TestParallelSweepBuildAmortization(t *testing.T) {
 	forceParallel(t, 4)
 	leakcheck.Check(t)
@@ -141,24 +147,162 @@ func TestParallelSweepBuildAmortization(t *testing.T) {
 	}
 	g, lib := expts.Example1()
 	pool := expts.Example1Pool(lib)
-	b0, c0 := model.BuildCount(), model.CloneCount()
-	points, err := Sweep(context.Background(), g, pool, arch.PointToPoint{}, Options{
-		Engine:       EngineMILP,
-		MILP:         &milp.Options{TimeLimit: 2 * time.Minute},
-		SweepWorkers: 4,
-	})
+	p2p := arch.PointToPoint{}
+	milpAt := func(workers int) Options {
+		return Options{
+			Engine:       EngineMILP,
+			MILP:         &milp.Options{TimeLimit: 2 * time.Minute},
+			SweepWorkers: workers,
+		}
+	}
+	sweepAt := func(workers int) func() ([]Point, error) {
+		return func() ([]Point, error) {
+			return Sweep(context.Background(), g, pool, p2p, milpAt(workers))
+		}
+	}
+	cases := []struct {
+		name   string
+		sweep  func() ([]Point, error)
+		builds int64
+	}{
+		{"milp-workers-0", sweepAt(0), 2},
+		{"milp-workers-1", sweepAt(1), 2},
+		{"milp-workers-4", sweepAt(4), 2},
+		{"milp-by-deadline", func() ([]Point, error) {
+			return SweepByDeadline(context.Background(), g, pool, p2p, milpAt(0), 1e-3)
+		}, 2},
+		{"combinatorial", func() ([]Point, error) {
+			return Sweep(context.Background(), g, pool, p2p, Options{
+				Engine: EngineCombinatorial,
+				Exact:  &exact.Options{TimeLimit: 2 * time.Minute},
+			})
+		}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b0, c0 := model.BuildCount(), model.CloneCount()
+			points, err := c.sweep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(points) != len(expts.Table2Full) {
+				t.Fatalf("frontier has %d points, want %d", len(points), len(expts.Table2Full))
+			}
+			if builds := model.BuildCount() - b0; builds != c.builds {
+				t.Errorf("sweep performed %d full Builds, want exactly %d", builds, c.builds)
+			}
+			// Each MILP frontier point needs a perf clone and a cost clone.
+			if clones := model.CloneCount() - c0; c.builds > 0 && clones < int64(2*len(points)) {
+				t.Errorf("sweep performed %d clones, want >= %d", clones, 2*len(points))
+			}
+		})
+	}
+}
+
+// chainSource is a FrontierSource holding part of a cold sweep's chain:
+// covered maps a chain cap to the point the cold sweep found there. It
+// records every cap a solve asked it for warm designs, which is once per
+// solved cap.
+type chainSource struct {
+	covered map[float64]Point
+	mu      sync.Mutex
+	warmed  []float64
+}
+
+func (s *chainSource) Serve(w float64) ([]Point, bool) {
+	var out []Point
+	for {
+		pt, ok := s.covered[w]
+		if !ok {
+			return out, false
+		}
+		out = append(out, pt)
+		w = pt.Cost() - 1
+	}
+}
+
+func (s *chainSource) Warm(w float64, max int) []*schedule.Design {
+	s.mu.Lock()
+	s.warmed = append(s.warmed, w)
+	s.mu.Unlock()
+	return nil
+}
+
+// TestSweepPartialFrontierSource drives a partially covered frontier
+// source through the sweep: the store covers the chain's first
+// point and one point below a hole. At every width the frontier must
+// equal the cold sweep's, the covered points must come from the store,
+// and the chain must solve only the uncovered caps.
+func TestSweepPartialFrontierSource(t *testing.T) {
+	forceParallel(t, 4)
+	leakcheck.Check(t)
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	p2p := arch.PointToPoint{}
+	base := Options{
+		Engine: EngineCombinatorial,
+		Exact:  &exact.Options{TimeLimit: 2 * time.Minute},
+	}
+	cold, err := Sweep(context.Background(), g, pool, p2p, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(expts.Table2Full) {
-		t.Fatalf("frontier has %d points, want %d", len(points), len(expts.Table2Full))
+	if len(cold) < 5 {
+		t.Fatalf("cold frontier has %d points, need >= 5 for a prefix and a hole", len(cold))
 	}
-	if builds := model.BuildCount() - b0; builds != 2 {
-		t.Errorf("parallel sweep performed %d full Builds, want exactly 2 (the templates)", builds)
+	// Chain cap i is where the cold sweep solved point i; the cap after
+	// the last point is the terminal (infeasible) solve.
+	caps := []float64{0}
+	for _, pt := range cold {
+		caps = append(caps, pt.Cost()-1)
 	}
-	// Each frontier point needs a perf clone and a cost clone at minimum.
-	if clones := model.CloneCount() - c0; clones < int64(2*len(points)) {
-		t.Errorf("parallel sweep performed %d clones, want >= %d", clones, 2*len(points))
+	coveredIdx := map[int]bool{0: true, 3: true}
+	var uncovered []float64
+	for i, c := range caps {
+		if !coveredIdx[i] && c > 0 {
+			uncovered = append(uncovered, c)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			src := &chainSource{covered: map[float64]Point{}}
+			for i := range coveredIdx {
+				src.covered[caps[i]] = cold[i]
+			}
+			ctr := &telemetry.CountingSink{}
+			o := base
+			o.Source = src
+			o.SweepWorkers = workers
+			o.Telemetry = telemetry.New(ctr)
+			got, err := Sweep(context.Background(), g, pool, p2p, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frontiersIdentical(t, cold, got)
+			for i := range got {
+				if served := got[i].Design == cold[i].Design; served != coveredIdx[i] {
+					t.Errorf("point %d: served from the store = %v, want %v", i, served, coveredIdx[i])
+				}
+			}
+			if n := ctr.Count(telemetry.EvPoint); n != int64(len(uncovered)) {
+				t.Errorf("chain solved %d caps, want the %d uncovered ones", n, len(uncovered))
+			}
+			solved := map[float64]bool{}
+			for _, c := range src.warmed {
+				solved[c] = true
+			}
+			for _, c := range uncovered {
+				if !solved[c] {
+					t.Errorf("uncovered cap %g was never solved", c)
+				}
+			}
+			if workers == 1 && len(src.warmed) != len(uncovered) {
+				t.Errorf("one-worker sweep solved caps %v, want exactly %v", src.warmed, uncovered)
+			}
+			if extra := len(src.warmed) - len(uncovered); extra > 0 {
+				t.Logf("%d solves beyond the uncovered caps: %v", extra, src.warmed)
+			}
+		})
 	}
 }
 

@@ -222,10 +222,11 @@ type Spec struct {
 	// Status and Gap.
 	Anytime bool
 	// SweepWorkers, when > 1, runs Frontier with that many concurrent
-	// point solvers: speculative caps drawn from the design-cost lattice
-	// are solved ahead of the ε-constraint chain and reconciled into the
-	// identical frontier the sequential sweep returns (DESIGN.md §10).
-	// 0 or 1 selects the sequential sweep.
+	// point solvers (clamped to GOMAXPROCS): speculative caps drawn from
+	// the design-cost lattice are solved ahead of the ε-constraint chain
+	// and reconciled into the same frontier (DESIGN.md §10). At 0 or 1 the
+	// same sweep loop solves every chain cap inline, with no
+	// speculation.
 	SweepWorkers int
 	// Race runs the engine portfolio concurrently instead of one engine
 	// (or one ladder rung) at a time: MILP, combinatorial, and heuristic
