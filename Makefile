@@ -86,13 +86,13 @@ perf-race:
 perf-race-check:
 	$(GO) run ./cmd/sosbench -perf-race -check-baseline
 
-## perf-frontier: frontier-store report — repeat sweeps of the paper's
-## three frontiers through the store vs cold, plus delta-resolve point
+## perf-frontier: cached-sweep report — repeat sweeps of the paper's
+## three frontiers through the result cache vs cold, plus delta-resolve point
 ## accounting — written to BENCH_frontier.json.
 perf-frontier:
 	$(GO) run ./cmd/sosbench -perf-frontier
 
-## perf-frontier-check: re-measure and fail unless the store holds its
+## perf-frontier-check: re-measure and fail unless cached sweeps hold their
 ## bars: >=1000x repeat-sweep p50 on the Example 2 workloads (>=25x on
 ## the millisecond-scale Table II stream), every cached frontier
 ## bit-identical to the cold sweep, and delta-resolve solving exactly
@@ -117,12 +117,14 @@ server-race:
 soak-smoke:
 	SOSD_SOAK=30s $(GO) test -race -count=1 -run 'TestSoakSmoke$$' -v -timeout 5m ./internal/server
 
-## fuzz-smoke: ~45s of coverage-guided fuzzing over the two parsing
-## surfaces (spec files and task-graph JSON) and the cache's canonical
-## key (rename/reorder invariance, no semantic collisions). The corpus
-## under testdata/ pins every crasher ever found; plain `go test`
-## replays it as seeds.
+## fuzz-smoke: ~60s of coverage-guided fuzzing over the two parsing
+## surfaces (spec files and task-graph JSON), the cache's canonical key
+## (rename/reorder invariance, no semantic collisions) and the cache's
+## spill loader (no panic; every restored proof validates and re-encodes
+## under its key). The corpus under testdata/ pins every crasher ever
+## found; plain `go test` replays it as seeds.
 fuzz-smoke:
 	$(GO) test -run NO_TESTS -fuzz 'FuzzSpecfile$$' -fuzztime 15s ./internal/specfile
 	$(GO) test -run NO_TESTS -fuzz 'FuzzGraphValidate$$' -fuzztime 15s ./internal/taskgraph
 	$(GO) test -run NO_TESTS -fuzz 'FuzzCanonicalKey$$' -fuzztime 15s ./internal/cache
+	$(GO) test -run NO_TESTS -fuzz 'FuzzSpillLine$$' -fuzztime 15s ./internal/cache

@@ -17,7 +17,7 @@
 //	-perf-lp           LP kernel report (dense vs sparse vs presolve), BENCH_lp.json
 //	-perf-cache        result-cache report (hit p50, zero-hit overhead), BENCH_cache.json
 //	-perf-race         engine-racing vs sequential-ladder report, BENCH_race.json
-//	-perf-frontier     frontier-store report (repeat-sweep p50, delta-resolve), BENCH_frontier.json
+//	-perf-frontier     cached-sweep report (repeat-sweep p50, delta-resolve), BENCH_frontier.json
 //	-perf-scale        large-instance MILP scaling sweep (50-800 subtasks), BENCH_scale.json
 //
 // By default frontiers are traced with the combinatorial engine (exact and
@@ -84,7 +84,7 @@ func main() {
 		perfLP  = flag.Bool("perf-lp", false, "measure LP kernel throughput (dense vs sparse vs presolve) and write BENCH_lp.json")
 		perfCa  = flag.Bool("perf-cache", false, "measure the result cache (repeat-heavy p50, zero-hit overhead, warm starts) and write BENCH_cache.json")
 		perfRa  = flag.Bool("perf-race", false, "measure engine-portfolio racing vs the sequential ladder on the budget-constrained Table II sweep and write BENCH_race.json")
-		perfFr  = flag.Bool("perf-frontier", false, "measure the frontier store (repeat-sweep p50, delta-resolve accounting) on the paper workloads and write BENCH_frontier.json")
+		perfFr  = flag.Bool("perf-frontier", false, "measure sweeps served from the result cache (repeat-sweep p50, delta-resolve accounting) on the paper workloads and write BENCH_frontier.json")
 		perfSc  = flag.Bool("perf-scale", false, "sweep structured 50-800-subtask forced-mapping instances through the sparse MILP stack and write BENCH_scale.json")
 	)
 	flag.Parse()

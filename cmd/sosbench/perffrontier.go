@@ -14,7 +14,7 @@ import (
 	"sos/internal/telemetry"
 )
 
-// frontierBenchFile is the committed frontier-store baseline; the CI
+// frontierBenchFile is the committed cached-sweep baseline; the CI
 // gate re-measures the report's own invariants (repeat-sweep speedup,
 // delta-point accounting, frontier equality), so the file is an artifact
 // and a record, not a machine-specific ns/op ratchet.
@@ -89,23 +89,23 @@ func sameFrontiers(a, b []sos.FrontierPoint) bool {
 	return true
 }
 
-// PerfFrontier measures the frontier store on the paper workloads and
-// writes BENCH_frontier.json:
+// PerfFrontier measures sweeps served from the result cache on the paper
+// workloads and writes BENCH_frontier.json:
 //
-//   - repeat sweeps: each workload swept once cold to fill the store,
+//   - repeat sweeps: each workload swept once cold to fill the cache,
 //     then repeatedly through it — the acceptance bars are a >=1000x
 //     p50 win on the second-scale Example 2 streams and >=25x on the
 //     millisecond-scale Table II stream (its cold sweep is too fast for
 //     a stable larger ratio), with every served frontier bit-identical
 //     to the cold sweep;
-//   - delta-resolve: a store seeded with the sub-frontier below the head
+//   - delta-resolve: a cache seeded with the sub-frontier below the head
 //     point answers the full-range sweep by solving exactly the head
 //     point, pinned by the frontier_delta_points counter.
 //
 // With -check-baseline it re-measures and fails if any bar is missed,
 // instead of writing the file.
 func PerfFrontier() error {
-	fmt.Println("== Frontier-store performance report ==")
+	fmt.Println("== Cached-sweep performance report ==")
 	report := frontierPerfReport{
 		Date:      time.Now().Format("2006-01-02"),
 		GoVersion: runtime.Version(),
@@ -130,7 +130,7 @@ func PerfFrontier() error {
 
 		// Cached stream: first sweep misses and fills the store, the rest
 		// are served from it.
-		cache, err := sos.NewCache(sos.CacheOptions{Frontiers: true})
+		cache, err := sos.NewCache(sos.CacheOptions{})
 		if err != nil {
 			return err
 		}
@@ -177,7 +177,7 @@ func PerfFrontier() error {
 	}
 	coldNs := time.Since(t0)
 	tel := telemetry.New(nil)
-	cache, err := sos.NewCache(sos.CacheOptions{Frontiers: true, Telemetry: tel})
+	cache, err := sos.NewCache(sos.CacheOptions{Telemetry: tel})
 	if err != nil {
 		return err
 	}

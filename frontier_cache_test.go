@@ -2,6 +2,7 @@ package sos
 
 import (
 	"context"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestFrontierCachedBitIdentical(t *testing.T) {
 			sameFrontier(t, wantPub, cold)
 
 			tel := telemetry.New(nil)
-			c := testCache(t, CacheOptions{Telemetry: tel, Frontiers: true})
+			c := testCache(t, CacheOptions{Telemetry: tel})
 			sp := w.spec
 			sp.Cache = c
 			sp.Telemetry = tel
@@ -95,7 +96,7 @@ func TestFrontierCachedBitIdentical(t *testing.T) {
 			// below the head point must solve exactly the head point when
 			// asked for the full range, and still match the cold sweep.
 			tel2 := telemetry.New(nil)
-			c2 := testCache(t, CacheOptions{Telemetry: tel2, Frontiers: true})
+			c2 := testCache(t, CacheOptions{Telemetry: tel2})
 			dsp := w.spec
 			dsp.Cache = c2
 			dsp.Telemetry = tel2
@@ -122,7 +123,7 @@ func TestFrontierCachedBitIdentical(t *testing.T) {
 }
 
 // TestFrontierCachePersistAcrossRestart: a swept frontier persists to
-// the .frontiers spill and a restarted cache serves the same frontier
+// the cache's spill and a restarted cache serves the same frontier
 // without invoking a solver (pinned by the solver node counters).
 func TestFrontierCachePersistAcrossRestart(t *testing.T) {
 	leakcheck.Check(t)
@@ -130,7 +131,7 @@ func TestFrontierCachePersistAcrossRestart(t *testing.T) {
 	g, lib := expts.Example1()
 	base := Spec{Graph: g, Library: lib, Pool: expts.Example1Pool(lib)}
 
-	c1, err := NewCache(CacheOptions{PersistPath: path, Frontiers: true})
+	c1, err := NewCache(CacheOptions{PersistPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +146,10 @@ func TestFrontierCachePersistAcrossRestart(t *testing.T) {
 	}
 
 	tel := telemetry.New(nil)
-	c2 := testCache(t, CacheOptions{PersistPath: path, Frontiers: true, Telemetry: tel})
-	if restored, skipped := c2.FrontierLoaded(); restored != 1 || skipped != 0 {
-		t.Fatalf("FrontierLoaded = (%d, %d), want (1, 0)", restored, skipped)
+	c2 := testCache(t, CacheOptions{PersistPath: path, Telemetry: tel})
+	// The sweep spilled as one line holding its whole chain.
+	if restored, skipped := c2.Loaded(); restored != 1 || skipped != 0 {
+		t.Fatalf("Loaded = (%d, %d), want (1, 0)", restored, skipped)
 	}
 	sp = base
 	sp.Cache = c2
@@ -172,7 +174,7 @@ func TestFrontierCachePersistAcrossRestart(t *testing.T) {
 func TestFrontierSingleflightStorm(t *testing.T) {
 	leakcheck.Check(t)
 	tel := telemetry.New(nil)
-	c := testCache(t, CacheOptions{Telemetry: tel, Frontiers: true})
+	c := testCache(t, CacheOptions{Telemetry: tel})
 	g, lib := expts.Example1()
 	sp := Spec{Graph: g, Library: lib, Pool: expts.Example1Pool(lib), Cache: c}
 
@@ -205,7 +207,134 @@ func TestFrontierSingleflightStorm(t *testing.T) {
 	if got := tel.Get(telemetry.CtrFrontierMisses); got != 1 {
 		t.Fatalf("frontier_misses = %d, want 1 (dedup failed)", got)
 	}
-	if c.FrontierLen() != 1 {
-		t.Fatalf("store holds %d frontiers, want 1", c.FrontierLen())
+	if got := tel.Get(telemetry.CtrFrontierStores); got != 1 {
+		t.Fatalf("frontier_stores = %d, want 1", got)
 	}
+	// One frontier proof per point plus the terminal infeasibility proof.
+	if c.Len() != len(expts.Table2Full)+1 {
+		t.Fatalf("cache holds %d proofs, want %d", c.Len(), len(expts.Table2Full)+1)
+	}
+}
+
+// TestFrontierPointsServeSynthesize: a cached sweep's points are proofs
+// like any other, so a Synthesize at a cap strictly inside a point's
+// cover range [cost, chain cap] is a cover hit at that point's perf,
+// without a solver.
+func TestFrontierPointsServeSynthesize(t *testing.T) {
+	leakcheck.Check(t)
+	tel := telemetry.New(nil)
+	c := testCache(t, CacheOptions{Telemetry: tel})
+	g, lib := expts.Example1()
+	base := Spec{Graph: g, Library: lib, Pool: expts.Example1Pool(lib), Cache: c}
+	pts, err := Frontier(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for i := 1; i < len(pts); i++ {
+		chainCap := pts[i-1].Cost - 1 // where the sweep solved point i
+		if chainCap-pts[i].Cost < 0.5 {
+			continue // no cap strictly inside the range
+		}
+		sp := base
+		sp.CostCap = pts[i].Cost + (chainCap-pts[i].Cost)/2
+		sp.Telemetry = tel
+		hits, misses := tel.Get(telemetry.CtrCacheHits), tel.Get(telemetry.CtrCacheMisses)
+		res, err := Synthesize(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Cached || res.Status != StatusOptimal || res.Design.Makespan != pts[i].Perf {
+			t.Fatalf("cap %g: cached=%v status=%v makespan=%g, want a cover hit at perf %g",
+				sp.CostCap, res.Cached, res.Status, res.Design.Makespan, pts[i].Perf)
+		}
+		if tel.Get(telemetry.CtrCacheHits) != hits+1 || tel.Get(telemetry.CtrCacheMisses) != misses {
+			t.Fatalf("cap %g: not counted as one cache hit", sp.CostCap)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no frontier point has a cover range wider than its chain cap")
+	}
+}
+
+// TestFrontierMixedStorm: sweeps and point solves of one family now share
+// the cache's entries and flight map. Concurrent sweeps (from two start
+// caps) and Synthesize calls (at caps across the whole range) must each
+// return what they return cold.
+func TestFrontierMixedStorm(t *testing.T) {
+	leakcheck.Check(t)
+	g, lib := expts.Example1()
+	base := Spec{Graph: g, Library: lib, Pool: expts.Example1Pool(lib)}
+	caps := []float64{0, 20, 13, 9, 7, 6.5, 5, 3}
+	coldPerf := map[float64]float64{}
+	for _, cp := range caps {
+		sp := base
+		sp.CostCap = cp
+		res, err := Synthesize(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldPerf[cp] = math.Inf(1)
+		if res.Design != nil {
+			coldPerf[cp] = res.Design.Makespan
+		}
+	}
+	coldSweep := map[float64][]FrontierPoint{}
+	for _, start := range []float64{0, 9} {
+		sp := base
+		sp.CostCap = start
+		pts, err := Frontier(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldSweep[start] = pts
+	}
+
+	c := testCache(t, CacheOptions{Capacity: 64, Shards: 2})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				sp := base
+				sp.Cache = c
+				if (w+i)%3 == 0 {
+					sp.CostCap = []float64{0, 9}[(w+i)%2]
+					pts, err := Frontier(context.Background(), sp)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want := coldSweep[sp.CostCap]
+					if len(pts) != len(want) {
+						t.Errorf("sweep from %g: %d points, want %d", sp.CostCap, len(pts), len(want))
+						return
+					}
+					for k := range want {
+						if pts[k].Cost != want[k].Cost || pts[k].Perf != want[k].Perf || pts[k].Status != want[k].Status {
+							t.Errorf("sweep from %g point %d: (%g,%g), want (%g,%g)", sp.CostCap, k,
+								pts[k].Cost, pts[k].Perf, want[k].Cost, want[k].Perf)
+						}
+					}
+					continue
+				}
+				sp.CostCap = caps[(w*7+i)%len(caps)]
+				res, err := Synthesize(context.Background(), sp)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := math.Inf(1)
+				if res.Design != nil {
+					got = res.Design.Makespan
+				}
+				if got != coldPerf[sp.CostCap] {
+					t.Errorf("cap %g: makespan %g, want %g", sp.CostCap, got, coldPerf[sp.CostCap])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -26,14 +26,15 @@ type Options struct {
 	// PersistPath, when non-empty, appends every stored proof to a JSONL
 	// spill file and warm-loads existing lines at construction.
 	PersistPath string
-	// Telemetry receives cache counters and EvCache trace events. Nil is
-	// a no-op collector.
+	// Telemetry receives the cache_* and frontier_* counters and the
+	// EvCache/EvFrontier trace events. Nil is a no-op collector.
 	Telemetry *telemetry.Collector
 }
 
 // Cache is a sharded, family-indexed LRU of proved synthesis results
-// with single-flight deduplication. All methods are safe for concurrent
-// use.
+// with single-flight deduplication. It holds point proofs and the
+// frontier proofs of stored sweeps alike. All methods are safe for
+// concurrent use.
 type Cache struct {
 	capPerShard int
 	tel         *telemetry.Collector
@@ -67,6 +68,11 @@ type entry struct {
 	designLimit float64
 	objVal      float64 // optimal objective value (+Inf when infeasible)
 	nodes       int64   // search nodes the original proof cost
+	// frontier marks a certified sweep point: the design is also the
+	// cheapest one reaching objVal under limit (cost-tightened), so the
+	// sweep may serve it as a frontier point. A plain solve's design only
+	// proves the objective value.
+	frontier bool
 
 	canon *canon
 	req   Request // problem context the design references (remap source)
@@ -268,6 +274,16 @@ func (c *Cache) serve(e *entry, p *Probe, exact bool) (*Hit, error) {
 // proofs for this request, but valid warm incumbents for any engine
 // (each is feasibility-checked downstream before use).
 func (c *Cache) WarmStarts(p *Probe, max int) []*schedule.Design {
+	out := c.warmAt(p, p.canon.limit, max)
+	if len(out) > 0 {
+		c.tel.Inc(telemetry.CtrCacheNearHits)
+		c.tel.Emit(telemetry.EvCache, 0, float64(len(out)), "near")
+	}
+	return out
+}
+
+// warmAt is WarmStarts at an explicit bound limit, without telemetry.
+func (c *Cache) warmAt(p *Probe, limit float64, max int) []*schedule.Design {
 	if max <= 0 {
 		return nil
 	}
@@ -275,14 +291,11 @@ func (c *Cache) WarmStarts(p *Probe, max int) []*schedule.Design {
 	s.mu.Lock()
 	var cands []*entry
 	for _, e := range s.families[p.canon.family] {
-		if !e.infeasible && e.designLimit <= p.canon.limit+limitEps {
+		if !e.infeasible && e.designLimit <= limit+limitEps {
 			cands = append(cands, e)
 		}
 	}
 	s.mu.Unlock()
-	if len(cands) == 0 {
-		return nil
-	}
 	// Best objective first; ties by tighter design bound.
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && better(cands[j], cands[j-1]); j-- {
@@ -297,10 +310,6 @@ func (c *Cache) WarmStarts(p *Probe, max int) []*schedule.Design {
 		if d, err := remapDesign(e, p); err == nil {
 			out = append(out, d)
 		}
-	}
-	if len(out) > 0 {
-		c.tel.Inc(telemetry.CtrCacheNearHits)
-		c.tel.Emit(telemetry.EvCache, 0, float64(len(out)), "near")
 	}
 	return out
 }
@@ -333,68 +342,65 @@ func (c *Cache) Store(p *Probe, r StoreResult) bool {
 	if r.Optimal && r.Design == nil {
 		return false
 	}
-	e := &entry{
-		key:    p.canon.key,
-		family: p.canon.family,
-		limit:  p.canon.limit,
-		nodes:  r.Nodes,
-		canon:  p.canon,
-		req:    p.Req,
-	}
-	if r.Infeasible {
-		e.infeasible = true
-		e.objVal = math.Inf(1)
-		e.designLimit = math.Inf(1)
-	} else {
-		e.design = r.Design
-		e.objVal = r.Bound
-		if p.Req.Objective == MinCost {
-			e.designLimit = r.Design.Makespan
-		} else {
-			e.designLimit = r.Design.Cost
-		}
-	}
-	if !c.insert(e) {
+	e := newEntry(p, p.canon.limit, r.Infeasible, r.Design, r.Bound, r.Nodes, false)
+	if !c.insert(e, false) {
 		return false
 	}
 	c.tel.Emit(telemetry.EvCache, 0, e.limit, "store")
-	c.appendSpill(e)
+	c.appendSpill([]*entry{e})
 	return true
 }
 
-// insert adds the entry to its shard unless the key is already present,
-// evicting LRU overflow. Reports whether the entry was added.
-func (c *Cache) insert(e *entry) bool {
+// newEntry builds the proof for probe p's family at bound limit. The
+// design's own coordinate on the bound axis is its makespan under
+// MinCost and its cost under MinMakespan.
+func newEntry(p *Probe, limit float64, infeasible bool, d *schedule.Design, bound float64, nodes int64, frontier bool) *entry {
+	e := &entry{
+		key:      keyOf(p.canon.family, limit),
+		family:   p.canon.family,
+		limit:    limit,
+		nodes:    nodes,
+		frontier: frontier,
+		canon:    p.canon,
+		req:      p.Req,
+	}
+	switch {
+	case infeasible:
+		e.infeasible = true
+		e.objVal = math.Inf(1)
+		e.designLimit = math.Inf(1)
+	case p.Req.Objective == MinCost:
+		e.design, e.objVal, e.designLimit = d, bound, d.Makespan
+	default:
+		e.design, e.objVal, e.designLimit = d, bound, d.Cost
+	}
+	return e
+}
+
+// insert adds the entry to its shard, evicting LRU overflow, and reports
+// whether it was added. Proofs for one key are interchangeable, so a
+// resident proof is kept (a concurrent solver beat us) — unless the new
+// one is a frontier proof and the resident one is not: only the flagged
+// proof can serve the sweep, and keeping the plain one would leave that
+// chain cap a permanent miss. On load (replay) a later line also
+// replaces an equally flagged one.
+func (c *Cache) insert(e *entry, replay bool) bool {
 	s := c.shardFor(e.family)
 	s.mu.Lock()
 	if el, ok := s.byKey[e.key]; ok {
-		// Already proved (a concurrent solver beat us); proofs for one
-		// key are interchangeable, keep the incumbent.
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		return false
+		old := el.Value.(*entry)
+		if old.frontier && !e.frontier || old.frontier == e.frontier && !replay {
+			s.lru.MoveToFront(el)
+			s.mu.Unlock()
+			return false
+		}
+		s.unlink(el)
 	}
 	s.byKey[e.key] = s.lru.PushFront(e)
 	s.families[e.family] = append(s.families[e.family], e)
 	var evicted int
 	for s.lru.Len() > c.capPerShard {
-		back := s.lru.Back()
-		old := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.byKey, old.key)
-		fam := s.families[old.family]
-		for i, fe := range fam {
-			if fe == old {
-				fam[i] = fam[len(fam)-1]
-				fam = fam[:len(fam)-1]
-				break
-			}
-		}
-		if len(fam) == 0 {
-			delete(s.families, old.family)
-		} else {
-			s.families[old.family] = fam
-		}
+		s.unlink(s.lru.Back())
 		evicted++
 	}
 	s.mu.Unlock()
@@ -403,4 +409,25 @@ func (c *Cache) insert(e *entry) bool {
 		c.tel.Emit(telemetry.EvCache, 0, float64(evicted), "evict")
 	}
 	return true
+}
+
+// unlink removes one resident entry from the LRU, the key index and its
+// family. The caller holds s.mu.
+func (s *shard) unlink(el *list.Element) {
+	old := el.Value.(*entry)
+	s.lru.Remove(el)
+	delete(s.byKey, old.key)
+	fam := s.families[old.family]
+	for i, fe := range fam {
+		if fe == old {
+			fam[i] = fam[len(fam)-1]
+			fam = fam[:len(fam)-1]
+			break
+		}
+	}
+	if len(fam) == 0 {
+		delete(s.families, old.family)
+	} else {
+		s.families[old.family] = fam
+	}
 }

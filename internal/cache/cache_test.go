@@ -2,7 +2,10 @@ package cache
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"sos/internal/budget"
 	"sos/internal/exact"
 	"sos/internal/expts"
+	"sos/internal/pareto"
 	"sos/internal/telemetry"
 )
 
@@ -309,7 +313,7 @@ func TestPersistRoundTrip(t *testing.T) {
 
 	// Corrupt the file with junk lines: restart restores what it can.
 	appendLine(t, path, "{malformed")
-	appendLine(t, path, `{"v":99,"status":"optimal"}`)
+	appendLine(t, path, `{"v":99,"proofs":[{"status":"optimal"}]}`)
 	c3 := newCache(t, Options{PersistPath: path})
 	if n, sk := c3.Loaded(); n != 2 || sk != 2 {
 		t.Fatalf("Loaded = (%d, %d), want (2, 2)", n, sk)
@@ -375,7 +379,7 @@ func TestPersistTornTail(t *testing.T) {
 	p7 := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 7})
 	prove(t, c1, p7)
 	c1.Close()
-	appendRaw(t, path, `{"v":1,"spec":{"graph":`)
+	appendRaw(t, path, `{"v":2,"spec":{"graph":`)
 
 	c2 := newCache(t, Options{PersistPath: path})
 	if n, sk := c2.Loaded(); n != 1 || sk != 1 {
@@ -394,6 +398,152 @@ func TestPersistTornTail(t *testing.T) {
 	}
 	if hit := c3.Lookup(p7); hit == nil || hit.Design == nil {
 		t.Fatalf("proof before the torn tail was lost")
+	}
+}
+
+// spillLine encodes proofs as one spill line.
+func spillLine(t *testing.T, es ...*entry) string {
+	t.Helper()
+	rec, err := recordOf(es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// resident returns the proof a cache holds under key, or nil.
+func resident(c *Cache, f FamilyKey, key Key) *entry {
+	s := c.shardFor(f)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.byKey[key]; ok {
+		return el.Value.(*entry)
+	}
+	return nil
+}
+
+// TestPersistDuplicateKey: two lines holding a proof under one key both
+// load. A frontier proof wins over a plain one in either order (only it
+// can serve a sweep); between equally flagged proofs the later line wins.
+func TestPersistDuplicateKey(t *testing.T) {
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	p2p := arch.PointToPoint{}
+	p := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p})
+	res := prove(t, newCache(t, Options{}), p)
+	cold, err := pareto.Sweep(context.Background(), g, pool, p2p, pareto.Options{
+		Engine: pareto.EngineCombinatorial, Exact: &exact.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	plain := func(nodes int64) *entry { return newEntry(p, inf, false, res.Design, res.Bound, nodes, false) }
+	flagged := newEntry(p, inf, false, cold[0].Design, cold[0].Perf(), 0, true)
+
+	for _, tc := range []struct {
+		name     string
+		lines    []*entry
+		frontier bool
+		nodes    int64
+	}{
+		{"plain-then-frontier", []*entry{plain(1), flagged}, true, 0},
+		{"frontier-then-plain", []*entry{flagged, plain(1)}, true, 0},
+		{"later-plain-wins", []*entry{plain(1), plain(2)}, false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "spill.jsonl")
+			for _, e := range tc.lines {
+				appendLine(t, path, spillLine(t, e))
+			}
+			c := newCache(t, Options{PersistPath: path})
+			if n, sk := c.Loaded(); n != 2 || sk != 0 {
+				t.Fatalf("Loaded = (%d, %d), want (2, 0)", n, sk)
+			}
+			if c.Len() != 1 {
+				t.Fatalf("Len = %d, want 1 proof under the duplicated key", c.Len())
+			}
+			e := resident(c, p.Family(), p.Key())
+			if e == nil || e.frontier != tc.frontier || e.nodes != tc.nodes {
+				t.Fatalf("resident proof %+v, want frontier=%v nodes=%d", e, tc.frontier, tc.nodes)
+			}
+		})
+	}
+}
+
+// TestPersistWrongVersion: lines of the former two-store layout
+// (version 1: a proof line and a frontier line, as committed under
+// testdata) are skipped and counted, never served, and a current line
+// appended after them loads normally.
+func TestPersistWrongVersion(t *testing.T) {
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	p2p := arch.PointToPoint{}
+	v1, err := os.ReadFile(filepath.Join("testdata", "spill_v1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spill.jsonl")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tel := telemetry.New(nil)
+	c1 := newCache(t, Options{PersistPath: path, Telemetry: tel})
+	if n, sk := c1.Loaded(); n != 0 || sk != 2 {
+		t.Fatalf("Loaded = (%d, %d), want (0, 2)", n, sk)
+	}
+	p7 := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 7})
+	if hit := c1.Lookup(p7); hit != nil {
+		t.Fatalf("version-1 proof line served: %+v", hit)
+	}
+	p := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p})
+	v := c1.View(p, 1, 0)
+	if pts, done := v.Serve(0); len(pts) != 0 || done {
+		t.Fatalf("version-1 frontier line served %d points (done %v)", len(pts), done)
+	}
+	prove(t, c1, p7)
+	c1.Close()
+
+	c2 := newCache(t, Options{PersistPath: path})
+	if n, sk := c2.Loaded(); n != 1 || sk != 2 {
+		t.Fatalf("Loaded = (%d, %d), want (1, 2)", n, sk)
+	}
+	if hit := c2.Lookup(p7); hit == nil || !hit.Exact {
+		t.Fatalf("current line after the version-1 lines not served: %+v", hit)
+	}
+}
+
+// TestPersistTruncatedLine: a record cut off mid-line but newline
+// terminated (a short write followed by a later append) is skipped and
+// counted; the lines around it load.
+func TestPersistTruncatedLine(t *testing.T) {
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	p2p := arch.PointToPoint{}
+	path := filepath.Join(t.TempDir(), "spill.jsonl")
+	p7 := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 7})
+	p3 := mustProbe(t, Request{Graph: g, Pool: pool, Topo: p2p, CostCap: 3})
+	scratch := newCache(t, Options{})
+	res7, res3 := prove(t, scratch, p7), prove(t, scratch, p3)
+	line7 := spillLine(t, newEntry(p7, 7, false, res7.Design, res7.Bound, int64(res7.Nodes), false))
+	line3 := spillLine(t, newEntry(p3, 3, true, nil, 0, int64(res3.Nodes), false))
+
+	appendLine(t, path, line7)
+	appendLine(t, path, line3[:len(line3)/2])
+	appendLine(t, path, line3)
+	c := newCache(t, Options{PersistPath: path})
+	if n, sk := c.Loaded(); n != 2 || sk != 1 {
+		t.Fatalf("Loaded = (%d, %d), want (2, 1)", n, sk)
+	}
+	if hit := c.Lookup(p7); hit == nil || hit.Design == nil {
+		t.Fatalf("proof before the truncated line lost")
+	}
+	if hit := c.Lookup(p3); hit == nil || !hit.Infeasible {
+		t.Fatalf("proof after the truncated line lost")
 	}
 }
 

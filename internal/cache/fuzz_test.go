@@ -1,12 +1,21 @@
 package cache
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sos/internal/arch"
+	"sos/internal/budget"
+	"sos/internal/exact"
 	"sos/internal/expts"
+	"sos/internal/pareto"
+	"sos/internal/schedule"
 	"sos/internal/taskgraph"
 )
 
@@ -217,4 +226,119 @@ func rebuildLibOnly(ng, g *taskgraph.Graph, lib *arch.Library,
 		nlib.AddType(typ.Name, cost, exec)
 	}
 	return nlib
+}
+
+// FuzzSpillLine is the robustness fuzzer for the spill loader: given
+// arbitrary bytes as one spill line, loadLine must never panic, and
+// every proof it restores must be a proof — an infeasibility proof
+// without a design, or a design that passes schedule.Validate within its
+// limit — whose re-encoded line loads back under the same key.
+func FuzzSpillLine(f *testing.F) {
+	for _, line := range spillSeeds(f) {
+		f.Add(line)
+	}
+	f.Add([]byte(`{"v":2,"proofs":[]}`))
+	f.Add([]byte(`{"v":2,"spec":{},"topology":"p2p","objective":"makespan","proofs":[{"limit":"NaN","status":"infeasible"}]}`))
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		c, err := New(Options{Capacity: 64, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.loadLine(line)
+		for _, e := range residents(c) {
+			if e.infeasible != (e.design == nil) {
+				t.Fatalf("restored entry is neither a design nor an infeasibility proof")
+			}
+			if e.design != nil {
+				if err := e.design.Validate(&schedule.ValidateOptions{NoOverlapIO: e.req.NoOverlapIO}); err != nil {
+					t.Fatalf("restored design invalid: %v", err)
+				}
+				if e.designLimit > e.limit+limitEps {
+					t.Fatalf("restored design at %g exceeds its limit %g", e.designLimit, e.limit)
+				}
+			}
+			rec, err := recordOf([]*entry{e})
+			if err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			back, _ := New(Options{Capacity: 64, Shards: 1})
+			if !back.loadLine(b) {
+				t.Fatalf("re-encoded line does not load: %s", b)
+			}
+			if rs := residents(back); len(rs) != 1 || rs[0].key != e.key {
+				t.Fatalf("re-encoded proof loads under another key")
+			}
+		}
+	})
+}
+
+// residents lists every proof a cache holds.
+func residents(c *Cache) []*entry {
+	var out []*entry
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for el := s.lru.Front(); el != nil; el = el.Next() {
+			out = append(out, el.Value.(*entry))
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// spillSeeds returns real spill lines to seed FuzzSpillLine: an optimal
+// and an infeasible point proof, an unbounded-deadline MinCost proof, a
+// stored sweep on two topologies, and the committed version-1 lines.
+func spillSeeds(f *testing.F) [][]byte {
+	path := filepath.Join(f.TempDir(), "spill.jsonl")
+	c, err := New(Options{PersistPath: path})
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, lib := expts.Example1()
+	pool := expts.Example1Pool(lib)
+	for _, req := range []Request{
+		{Graph: g, Pool: pool, Topo: arch.PointToPoint{}, CostCap: 7},
+		{Graph: g, Pool: pool, Topo: arch.PointToPoint{}, CostCap: 3},
+		{Graph: g, Pool: pool, Topo: arch.PointToPoint{}, Objective: MinCost, Deadline: math.Inf(1)},
+	} {
+		p, err := Prepare(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		res, err := exact.Synthesize(context.Background(), g, pool, req.Topo, exact.Options{
+			Objective: exact.Objective(req.Objective), CostCap: req.CostCap, Deadline: req.Deadline})
+		if err != nil {
+			f.Fatal(err)
+		}
+		c.Store(p, StoreResult{Optimal: res.Status == budget.StatusOptimal,
+			Infeasible: res.Status == budget.StatusInfeasible, Design: res.Design, Bound: res.Bound})
+	}
+	for _, topo := range []arch.Topology{arch.PointToPoint{}, arch.Bus{}} {
+		p, err := Prepare(Request{Graph: g, Pool: pool, Topo: topo})
+		if err != nil {
+			f.Fatal(err)
+		}
+		v := c.View(p, 1, 0)
+		pts, err := pareto.Sweep(context.Background(), g, pool, topo, pareto.Options{
+			Engine: pareto.EngineCombinatorial, Exact: &exact.Options{}, Source: v})
+		if err != nil {
+			f.Fatal(err)
+		}
+		v.Finish(pts, nil)
+	}
+	c.Close()
+	var lines [][]byte
+	for _, file := range []string{path, filepath.Join("testdata", "spill_v1.jsonl")} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines = append(lines, bytes.Split(bytes.TrimSpace(raw), []byte("\n"))...)
+	}
+	return lines
 }

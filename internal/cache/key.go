@@ -4,7 +4,8 @@
 // specifications differing only in node order, node names, or same-type
 // instance numbering; a sharded in-memory LRU of *proved* results with
 // single-flight deduplication of concurrent identical requests; and an
-// optional JSONL spill for warm restarts.
+// optional JSONL spill for warm restarts. Swept Pareto frontiers live in
+// the same LRU as the proofs they are made of (see View).
 //
 // Soundness rests on two pillars. First, the key is the SHA-256 of a full
 // canonical serialization of the problem — two specs share a key only if
@@ -74,10 +75,21 @@ func (r *Request) limit() float64 {
 	if r.Objective == MinCost {
 		return r.Deadline
 	}
-	if r.CostCap <= 0 {
+	return capLimit(r.CostCap)
+}
+
+// capLimit normalizes a cost cap onto the bound axis: uncapped (<= 0)
+// is +Inf, matching the model's encoding of an uncapped solve.
+func capLimit(costCap float64) float64 {
+	if costCap <= 0 {
 		return math.Inf(1)
 	}
-	return r.CostCap
+	return costCap
+}
+
+// keyOf is the full key of a family's request at bound limit.
+func keyOf(f FamilyKey, limit float64) Key {
+	return sha256.Sum256(binary.BigEndian.AppendUint64(f[:], normBits(limit)))
 }
 
 // normBits returns the IEEE-754 bit pattern of v with negative zero
@@ -315,10 +327,7 @@ func canonicalize(req *Request) (*canon, error) {
 	}
 
 	c.family = sha256.Sum256(cert)
-	var keyed []byte
-	keyed = append(keyed, c.family[:]...)
-	keyed = binary.BigEndian.AppendUint64(keyed, normBits(c.limit))
-	c.key = sha256.Sum256(keyed)
+	c.key = keyOf(c.family, c.limit)
 	return c, nil
 }
 

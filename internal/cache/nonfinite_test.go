@@ -85,14 +85,15 @@ func TestPersistNonFinite(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// The line must exist on disk with the non-finite deadline spelled as
-	// a string — a plain-number +Inf would have been dropped entirely.
+	// The line must exist on disk with the non-finite deadline (the
+	// proof's limit) spelled as a string — a plain-number +Inf would have
+	// been dropped entirely.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read spill: %v", err)
 	}
-	if !strings.Contains(string(raw), `"deadline":"+Inf"`) {
-		t.Fatalf("spill line missing string-encoded +Inf deadline: %s", raw)
+	if !strings.Contains(string(raw), `"limit":"+Inf"`) {
+		t.Fatalf("spill line missing string-encoded +Inf deadline limit: %s", raw)
 	}
 
 	c2 := newCache(t, Options{PersistPath: path})

@@ -15,32 +15,35 @@ import (
 )
 
 // spillRecord is one JSONL line of the persistent spill: the full
-// problem in specfile form plus the proof. Lines are self-contained so a
-// restarted process (or a different machine) can rebuild the entry, and
-// the canonical key is recomputed on load rather than trusted from disk.
-//
-// CostCap, Deadline, and Bound are spillFloats, not float64s: an
-// unbounded-deadline MinCost proof carries Deadline = +Inf, which
-// encoding/json rejects outright — with plain floats json.Marshal fails
-// and appendSpill (silent by design) drops the line, so the proof
-// silently never survives a restart. The spillFloat form writes
-// non-finite values as strings and round-trips them exactly, which
-// matters doubly for Deadline: the restored request is re-keyed through
-// Prepare, so a lossy decode would file the proof under the wrong key.
+// problem in specfile form plus one or more proofs of its family. A point
+// solve writes a one-proof line; a stored sweep writes its chain (every
+// frontier proof plus the terminal infeasibility proof) as one line.
+// Lines are self-contained so a restarted process (or a different
+// machine) can rebuild the entries, and every key is recomputed on load
+// rather than trusted from disk.
 type spillRecord struct {
 	V           int             `json:"v"`
 	Spec        json.RawMessage `json:"spec"` // {"graph":…,"library":…,"pool":…}
 	Topology    string          `json:"topology"`
 	TopoCost    float64         `json:"topo_cost,omitempty"`
 	Objective   string          `json:"objective"` // "makespan" | "cost"
-	CostCap     spillFloat      `json:"cost_cap,omitempty"`
-	Deadline    spillFloat      `json:"deadline,omitempty"`
 	Memory      bool            `json:"memory,omitempty"`
 	NoOverlapIO bool            `json:"no_overlap_io,omitempty"`
-	Status      string          `json:"status"` // "optimal" | "infeasible"
-	Bound       spillFloat      `json:"bound,omitempty"`
-	Nodes       int64           `json:"nodes,omitempty"`
-	Design      json.RawMessage `json:"design,omitempty"`
+	Proofs      []spillProof    `json:"proofs"`
+}
+
+// spillProof is one proof of a spill line. Limit and Bound are
+// spillFloats, not float64s: an uncapped proof and an unbounded-deadline
+// MinCost proof sit at limit +Inf, which encoding/json rejects as a
+// number, and appendSpill (silent by design) would drop the line. The
+// limit also re-keys the proof on load, so it must round-trip exactly.
+type spillProof struct {
+	Limit    spillFloat      `json:"limit"`
+	Status   string          `json:"status"` // "optimal" | "infeasible"
+	Bound    spillFloat      `json:"bound,omitempty"`
+	Nodes    int64           `json:"nodes,omitempty"`
+	Frontier bool            `json:"frontier,omitempty"`
+	Design   json.RawMessage `json:"design,omitempty"`
 }
 
 // spillFloat is a float64 that survives JSON at non-finite values:
@@ -88,10 +91,14 @@ func (f *spillFloat) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-const spillVersion = 1
+// spillVersion 2 is the one-store line (a proof list per line). Lines of
+// any other version — including the version-1 proof and frontier lines
+// of the former two-store layout — are skipped and counted; the spill is
+// advisory, so an upgrade costs only re-solves.
+const spillVersion = 2
 
-// spill is one JSONL persistence file, shared by the proof cache and the
-// frontier store: replayed once when the store opens, then appended to.
+// spill is the cache's JSONL persistence file: replayed once when the
+// cache opens, then appended to.
 type spill struct {
 	f *os.File
 	w *bufio.Writer
@@ -165,32 +172,34 @@ func (s *spill) append(v any) {
 	s.w.Flush()
 }
 
-// appendSpill persists one stored proof.
-func (c *Cache) appendSpill(e *entry) {
+// appendSpill persists proofs of one family and request as one line.
+func (c *Cache) appendSpill(es []*entry) {
 	c.spillMu.Lock()
 	defer c.spillMu.Unlock()
 	if c.spill == nil {
 		return
 	}
-	if rec, err := recordOf(e); err == nil {
+	if rec, err := recordOf(es); err == nil {
 		c.spill.append(rec)
 	}
 }
 
-func recordOf(e *entry) (*spillRecord, error) {
-	counts := make([]int, e.req.Pool.Library().NumTypes())
-	for _, p := range e.req.Pool.Procs() {
+// recordOf encodes proofs sharing es[0]'s problem as one spill line.
+func recordOf(es []*entry) (*spillRecord, error) {
+	req := &es[0].req
+	counts := make([]int, req.Pool.Library().NumTypes())
+	for _, p := range req.Pool.Procs() {
 		counts[p.Type]++
 	}
 	spec, err := json.Marshal(&specfile.Spec{
-		Graph:   e.req.Graph,
-		Library: e.req.Pool.Library(),
+		Graph:   req.Graph,
+		Library: req.Pool.Library(),
 		Pool:    counts,
 	})
 	if err != nil {
 		return nil, err
 	}
-	topoName, topoCost, _, err := topoParams(e.req.Topo)
+	topoName, topoCost, _, err := topoParams(req.Topo)
 	if err != nil {
 		return nil, err
 	}
@@ -199,37 +208,36 @@ func recordOf(e *entry) (*spillRecord, error) {
 		Spec:        spec,
 		Topology:    topoName,
 		TopoCost:    topoCost,
-		CostCap:     spillFloat(e.req.CostCap),
-		Deadline:    spillFloat(e.req.Deadline),
-		Memory:      e.req.Memory,
-		NoOverlapIO: e.req.NoOverlapIO,
-		Nodes:       e.nodes,
+		Objective:   "makespan",
+		Memory:      req.Memory,
+		NoOverlapIO: req.NoOverlapIO,
 	}
-	if e.req.Objective == MinCost {
+	if req.Objective == MinCost {
 		rec.Objective = "cost"
-	} else {
-		rec.Objective = "makespan"
 	}
-	if e.infeasible {
-		rec.Status = "infeasible"
-	} else {
-		rec.Status = "optimal"
-		rec.Bound = spillFloat(e.objVal)
-		d, err := schedule.EncodeDesign(e.design)
-		if err != nil {
-			return nil, err
+	for _, e := range es {
+		pr := spillProof{Limit: spillFloat(e.limit), Nodes: e.nodes, Frontier: e.frontier, Status: "infeasible"}
+		if !e.infeasible {
+			pr.Status = "optimal"
+			pr.Bound = spillFloat(e.objVal)
+			if pr.Design, err = schedule.EncodeDesign(e.design); err != nil {
+				return nil, err
+			}
 		}
-		rec.Design = d
+		rec.Proofs = append(rec.Proofs, pr)
 	}
 	return rec, nil
 }
 
-// loadLine restores one spilled proof. Every restored proof is re-keyed
-// from its own decoded problem, so a spill written by an older
-// canonicalizer can only miss, never mislead.
+// loadLine restores one spill line. The line is all or nothing: one
+// unusable proof skips it whole. Every restored proof is re-keyed from
+// its own decoded problem, so a spill written by an older canonicalizer
+// can only miss, never mislead; and a design must validate and sit
+// within its proof's limit, so a corrupt line cannot serve a design that
+// breaks the cap it answers.
 func (c *Cache) loadLine(line []byte) bool {
 	var rec spillRecord
-	if err := json.Unmarshal(line, &rec); err != nil || rec.V != spillVersion {
+	if err := json.Unmarshal(line, &rec); err != nil || rec.V != spillVersion || len(rec.Proofs) == 0 {
 		return false
 	}
 	spec, err := specfile.Parse(rec.Spec)
@@ -253,47 +261,53 @@ func (c *Cache) loadLine(line []byte) bool {
 		Graph:       spec.Graph,
 		Pool:        spec.Instances(),
 		Topo:        topo,
-		CostCap:     float64(rec.CostCap),
-		Deadline:    float64(rec.Deadline),
 		Memory:      rec.Memory,
 		NoOverlapIO: rec.NoOverlapIO,
 	}
-	if rec.Objective == "cost" {
+	switch rec.Objective {
+	case "makespan":
+	case "cost":
 		req.Objective = MinCost
-	} else if rec.Objective != "makespan" {
+	default:
 		return false
 	}
 	p, err := Prepare(req)
 	if err != nil {
 		return false
 	}
-	e := &entry{
-		key:    p.canon.key,
-		family: p.canon.family,
-		limit:  p.canon.limit,
-		nodes:  rec.Nodes,
-		canon:  p.canon,
-		req:    req,
-	}
-	switch rec.Status {
-	case "infeasible":
-		e.infeasible = true
-		e.objVal = math.Inf(1)
-		e.designLimit = math.Inf(1)
-	case "optimal":
-		d, err := schedule.DecodeDesign(rec.Design, req.Graph, req.Pool, topo)
-		if err != nil {
+	es := make([]*entry, 0, len(rec.Proofs))
+	for _, pr := range rec.Proofs {
+		limit := float64(pr.Limit)
+		if math.IsNaN(limit) || req.Objective == MinMakespan && limit <= 0 {
 			return false
 		}
-		e.design = d
-		e.objVal = float64(rec.Bound)
-		if req.Objective == MinCost {
-			e.designLimit = d.Makespan
-		} else {
-			e.designLimit = d.Cost
+		var e *entry
+		switch pr.Status {
+		case "infeasible":
+			if pr.Frontier || pr.Design != nil {
+				return false
+			}
+			e = newEntry(p, limit, true, nil, 0, pr.Nodes, false)
+		case "optimal":
+			d, err := schedule.DecodeDesign(pr.Design, req.Graph, req.Pool, topo)
+			if err != nil || d.Validate(&schedule.ValidateOptions{NoOverlapIO: req.NoOverlapIO}) != nil {
+				return false
+			}
+			bound := float64(pr.Bound)
+			if math.IsNaN(bound) || math.IsInf(bound, 0) {
+				return false
+			}
+			e = newEntry(p, limit, false, d, bound, pr.Nodes, pr.Frontier)
+			if e.designLimit > limit+limitEps {
+				return false
+			}
+		default:
+			return false
 		}
-	default:
-		return false
+		es = append(es, e)
 	}
-	return c.insert(e)
+	for _, e := range es {
+		c.insert(e, true)
+	}
+	return true
 }

@@ -15,7 +15,8 @@ type flight struct {
 	err  error // set before close(done)
 }
 
-// Do deduplicates concurrent identical requests. The first caller for a
+// Do deduplicates concurrent identical requests: point solves under their
+// probe's Key, sweeps under their View's FlightKey. The first caller for a
 // key becomes the leader: fn runs on its goroutine, under its context,
 // and shared=false is returned with fn's error. Every concurrent caller
 // with the same key blocks until the leader finishes (or the follower's

@@ -156,7 +156,7 @@ func Sweep(ctx context.Context, g *taskgraph.Graph, pool *arch.Instances, topo a
 	if p := runtime.GOMAXPROCS(0); opts.SweepWorkers > p {
 		opts.SweepWorkers = p
 	}
-	// Drain the frontier store before spending anything: a fully covered
+	// Drain the frontier source before spending anything: a fully covered
 	// sweep returns here without a build or a worker, and a covered prefix
 	// shifts the start cap so speculation targets only the uncovered region.
 	points, costCap, done := drainSource(&opts, nil, opts.StartCap)
@@ -537,7 +537,10 @@ func (q *specQueue) speculate(ctx context.Context, g *taskgraph.Graph, pool *arc
 	}
 	addJob(opts.StartCap, false)
 	for _, c := range speculativeCaps(g, pool, topo, opts) {
-		addJob(c, true)
+		// The chain takes a cap the source decides from the source.
+		if opts.Source == nil || !opts.Source.Covers(c) {
+			addJob(c, true)
+		}
 	}
 	sort.SliceStable(q.jobs, func(i, k int) bool {
 		return capKey(q.jobs[i].costCap) > capKey(q.jobs[k].costCap)

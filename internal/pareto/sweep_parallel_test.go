@@ -221,6 +221,11 @@ func (s *chainSource) Serve(w float64) ([]Point, bool) {
 	}
 }
 
+func (s *chainSource) Covers(w float64) bool {
+	_, ok := s.covered[w]
+	return ok
+}
+
 func (s *chainSource) Warm(w float64, max int) []*schedule.Design {
 	s.mu.Lock()
 	s.warmed = append(s.warmed, w)
@@ -232,7 +237,8 @@ func (s *chainSource) Warm(w float64, max int) []*schedule.Design {
 // source through the sweep: the store covers the chain's first
 // point and one point below a hole. At every width the frontier must
 // equal the cold sweep's, the covered points must come from the store,
-// and the chain must solve only the uncovered caps.
+// and the chain must solve only the uncovered caps. No speculative
+// worker may solve a covered cap either.
 func TestSweepPartialFrontierSource(t *testing.T) {
 	forceParallel(t, 4)
 	leakcheck.Check(t)
@@ -298,6 +304,13 @@ func TestSweepPartialFrontierSource(t *testing.T) {
 			}
 			if workers == 1 && len(src.warmed) != len(uncovered) {
 				t.Errorf("one-worker sweep solved caps %v, want exactly %v", src.warmed, uncovered)
+			}
+			// Speculation skips what the source covers: no worker may
+			// solve a covered cap, the chain serves it from the source.
+			for _, c := range src.warmed {
+				if _, ok := src.covered[c]; ok {
+					t.Errorf("covered cap %g was solved (solved caps %v)", c, src.warmed)
+				}
 			}
 			if extra := len(src.warmed) - len(uncovered); extra > 0 {
 				t.Logf("%d solves beyond the uncovered caps: %v", extra, src.warmed)

@@ -116,8 +116,9 @@ const (
 	CtrCacheMisses
 	// CtrCacheEvictions counts proofs dropped by per-shard LRU pressure.
 	CtrCacheEvictions
-	// CtrCacheCoalesced counts requests that waited on another in-flight
-	// identical request instead of solving (single-flight followers).
+	// CtrCacheCoalesced counts requests (point solves and sweeps) that
+	// waited on another in-flight identical one instead of solving
+	// (single-flight followers).
 	CtrCacheCoalesced
 
 	// CtrRaceWinsMILP counts engine races won by the MILP rung (it
@@ -132,21 +133,21 @@ const (
 	// rung finished first.
 	CtrRaceCanceled
 
-	// CtrFrontierHits counts sweeps answered entirely from the frontier
-	// store (every chain point served, zero solver invocations).
+	// CtrFrontierHits counts sweeps answered entirely from the result
+	// cache (every chain point served, zero solver invocations).
 	CtrFrontierHits
 	// CtrFrontierPartialHits counts sweeps partially served from the
-	// frontier store: some chain points came from the cache and the
+	// result cache: some chain points came from the cache and the
 	// uncovered cap regions were delta-resolved.
 	CtrFrontierPartialHits
-	// CtrFrontierMisses counts sweeps the frontier store could not help
+	// CtrFrontierMisses counts sweeps the result cache could not help
 	// with at all (cold family or uncovered range).
 	CtrFrontierMisses
 	// CtrFrontierDeltaPoints counts the frontier points actually solved
 	// during partial-hit sweeps — the delta the cache did not cover.
 	CtrFrontierDeltaPoints
-	// CtrFrontierStores counts frontiers (or frontier deltas) merged into
-	// the store after a sweep.
+	// CtrFrontierStores counts sweeps that stored new frontier proofs in
+	// the result cache (a cold chain, or a partial hit's delta).
 	CtrFrontierStores
 
 	numCounters
@@ -233,10 +234,10 @@ const (
 	// winning rung ("milp", "combinatorial", "heuristic") or "none";
 	// Value is the number of entrants canceled.
 	EvRace
-	// EvFrontier: a frontier-store interaction. Label is "hit",
-	// "partial", "miss", or "store"; Value is the number of points served
-	// (hit/partial), delta-resolved (store), or the sweep's start cap
-	// (miss).
+	// EvFrontier: a sweep's interaction with the result cache. Label is
+	// "hit", "partial", "miss", or "store"; Value is the number of points
+	// served (hit), delta-resolved (partial), proofs stored (store), or
+	// the sweep's start cap (miss).
 	EvFrontier
 
 	numEventKinds

@@ -516,14 +516,13 @@ type FrontierPoint struct {
 // Tables II, IV, and V. Spec.CostCap, when > 0, is the sweep's starting
 // cap (0 sweeps the whole frontier); Spec.Objective/Deadline are ignored.
 //
-// When Spec.Cache was built with CacheOptions.Frontiers, whole swept
-// frontiers are cached across requests: a repeat sweep of the same
-// problem family is served from the store without running a solver, and
-// a sweep whose cap range is only partially covered delta-resolves just
-// the uncovered caps (seeding those solves with adjacent cached designs)
-// before the new points are spliced back into the stored chain. Only
-// certified chains are cached, so served frontiers are bit-identical to
-// cold sweeps. See DESIGN.md §15.
+// With Spec.Cache set, swept frontiers are cached across requests as
+// the proofs they are made of: a repeat sweep of the same problem family
+// is served from the cache without running a solver, and a sweep whose
+// cap range is only partially covered delta-resolves just the uncovered
+// caps (seeding those solves with adjacent cached designs) and stores
+// their proofs. Only certified points are cached, so served frontiers are
+// bit-identical to cold sweeps. See DESIGN.md §13.
 func Frontier(ctx context.Context, spec Spec) ([]FrontierPoint, error) {
 	sp, err := spec.withDefaults()
 	if err != nil {
